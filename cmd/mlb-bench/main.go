@@ -1,23 +1,27 @@
 // Command mlb-bench measures the schedulers on the paper topology and
-// emits one machine-readable JSON file per run, so the repository's
+// emits one machine-readable JSON report per run, so the repository's
 // performance trajectory (ns/op, allocs/op, latency) is tracked from a
 // stable tool instead of hand-copied `go test -bench` output.
 //
 // Usage:
 //
 //	mlb-bench [-n 300] [-seed 1] [-r 10] [-iters 3] [-svcreqs 32]
-//	          [-out BENCH_schedulers.json] [-obsout BENCH_obs.json]
+//	          [-reltrials 500] [-out BENCH_schedulers.json]
 //
-// The output is a JSON object with run metadata, one record per
-// (scheduler, system) pair, and a service section measuring the plan
-// service's cold-cache vs warm-cache throughput on the n=150 and n=300
-// paper topologies. Commit the numbers, not the file: BENCH_*.json is
+// The report is a JSON object with run metadata and one array per
+// section: records (one per (scheduler, system) pair), service (cold- vs
+// warm-cache plan throughput at n=150 and n=300), reliability, channels
+// (latency vs K), agg (convergecast latency vs K), models (latency vs
+// interference model), improve (anytime improver under move budgets) and
+// obs (tracing overhead). mlb-benchdiff gates it against the checked-in
+// BENCH_baseline.json. Commit the numbers, not the file: BENCH_*.json is
 // gitignored by convention and meant for dashboards/CI artifacts.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -164,233 +168,56 @@ type report struct {
 	Obs         []obsRecord         `json:"obs"`
 }
 
+// bench holds the run parameters every section reads.
+type bench struct {
+	dep                         *mlbs.Deployment
+	n, r, iters, svcReqs, relTr int
+	seed                        uint64
+}
+
 func main() {
-	var (
-		n       = flag.Int("n", 300, "deployment size (paper topology)")
-		seed    = flag.Uint64("seed", 1, "deployment seed")
-		r       = flag.Int("r", 10, "duty-cycle rate for the async system")
-		iters   = flag.Int("iters", 3, "fixed benchmark iterations per case")
-		svcReqs = flag.Int("svcreqs", 32, "requests per service throughput phase")
-		relTr   = flag.Int("reltrials", 500, "Monte-Carlo trials per reliability case")
-		out     = flag.String("out", "BENCH_schedulers.json", "output JSON path")
-		chOut   = flag.String("chout", "BENCH_channels.json", "latency-vs-K curve JSON path (empty disables)")
-		aggOut  = flag.String("aggout", "BENCH_agg.json", "convergecast latency-vs-K JSON path (empty disables)")
-		mdlOut  = flag.String("modelout", "BENCH_models.json", "latency-vs-interference-model JSON path (empty disables)")
-		impOut  = flag.String("impout", "BENCH_improve.json", "anytime-improver section JSON path (empty disables)")
-		obsOut  = flag.String("obsout", "BENCH_obs.json", "tracing-overhead section JSON path (empty disables)")
-	)
+	var b bench
+	flag.IntVar(&b.n, "n", 300, "deployment size (paper topology)")
+	flag.Uint64Var(&b.seed, "seed", 1, "deployment seed")
+	flag.IntVar(&b.r, "r", 10, "duty-cycle rate for the async system")
+	flag.IntVar(&b.iters, "iters", 3, "fixed benchmark iterations per case")
+	flag.IntVar(&b.svcReqs, "svcreqs", 32, "requests per service throughput phase")
+	flag.IntVar(&b.relTr, "reltrials", 500, "Monte-Carlo trials per reliability case")
+	out := flag.String("out", "BENCH_schedulers.json", "output JSON path")
 	flag.Parse()
 
-	dep, err := mlbs.PaperDeployment(*n, *seed)
-	if err != nil {
+	var err error
+	if b.dep, err = mlbs.PaperDeployment(b.n, b.seed); err != nil {
 		fatal(err)
 	}
-	syncIn := mlbs.SyncInstance(dep.G, dep.Source)
-	dutyIn := mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(*n, *r, 9), 0)
-
-	type benchCase struct {
-		name   string
-		system string
-		in     mlbs.Instance
-		sched  mlbs.Scheduler
-	}
-	cases := []benchCase{
-		{"sync/e-model", "sync", syncIn, mlbs.EModel()},
-		{"sync/g-opt", "sync", syncIn, mlbs.GOPT()},
-		{"sync/opt", "sync", syncIn, mlbs.OPT()},
-		{"sync/26-approx", "sync", syncIn, mlbs.Baseline26()},
-		{fmt.Sprintf("duty-r%d/e-model", *r), "duty", dutyIn, mlbs.EModel()},
-		{fmt.Sprintf("duty-r%d/g-opt", *r), "duty", dutyIn, mlbs.GOPT()},
-		{fmt.Sprintf("duty-r%d/17-approx", *r), "duty", dutyIn, mlbs.Baseline17()},
-	}
-
 	rep := report{
 		Tool:      "mlb-bench",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Nodes:     *n,
-		Seed:      *seed,
-		DutyRate:  *r,
+		Nodes:     b.n,
+		Seed:      b.seed,
+		DutyRate:  b.r,
 	}
-	for _, c := range cases {
-		// Warm-up run; also supplies the scientific outputs (latency, Exact).
-		res, err := c.sched.Schedule(c.in)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", c.name, err))
-		}
-		nsOp, allocsOp, bytesOp, err := measure(*iters, func() error {
-			_, err := c.sched.Schedule(c.in)
-			return err
-		})
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", c.name, err))
-		}
-		rep.Records = append(rep.Records, record{
-			Name:        c.name,
-			System:      c.system,
-			Scheduler:   res.Scheduler,
-			Iterations:  *iters,
-			NsPerOp:     nsOp,
-			AllocsPerOp: allocsOp,
-			BytesPerOp:  bytesOp,
-			LatencyPA:   res.Schedule.Latency(),
-			Exact:       res.Exact,
-		})
-		fmt.Printf("%-20s %12d ns/op %8d allocs/op %6d latency\n",
-			c.name, nsOp, allocsOp, res.Schedule.Latency())
+	// Each section appends its records to the report and prints one line
+	// per record.
+	sections := []struct {
+		name string
+		run  func(*report) error
+	}{
+		{"records", b.schedulers},
+		{"service", b.service},
+		{"reliability", b.reliability},
+		{"channels", b.channels},
+		{"agg", b.aggregate},
+		{"models", b.models},
+		{"improve", b.improve},
+		{"obs", b.obs},
 	}
-
-	for _, sn := range []int{150, 300} {
-		sr, err := benchService(sn, *seed, *svcReqs)
-		if err != nil {
-			fatal(fmt.Errorf("service n=%d: %w", sn, err))
-		}
-		rep.Service = append(rep.Service, sr)
-		fmt.Printf("%-20s %12.1f cold plans/s %10.1f warm plans/s %6.1fx\n",
-			sr.Name, sr.ColdPlansPerSec, sr.WarmPlansPerSec, sr.Speedup)
-	}
-
-	for _, rn := range []int{150, 300} {
-		rr, err := benchReliability(rn, *seed, *relTr)
-		if err != nil {
-			fatal(fmt.Errorf("reliability n=%d: %w", rn, err))
-		}
-		rep.Reliability = append(rep.Reliability, rr)
-		fmt.Printf("%-20s %12.0f replays/s %8.2f allocs/replay %8.4f delivery\n",
-			rr.Name, rr.ReplaysPerSec, rr.AllocsPerReplay, rr.MeanDelivery)
-	}
-
-	chRecs, err := benchChannels(dep, *n, *seed, *r)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Channels = chRecs
-	for _, cr := range chRecs {
-		fmt.Printf("%-28s %6d latency %8.3f vs K=1 %12d ns/op\n",
-			cr.Name, cr.LatencySlots, cr.LatencyVsK1, cr.NsPerOp)
-	}
-	if *chOut != "" {
-		chData, err := json.MarshalIndent(struct {
-			Tool      string          `json:"tool"`
-			GoVersion string          `json:"go_version"`
-			Timestamp string          `json:"timestamp"`
-			Nodes     int             `json:"nodes"`
-			Seed      uint64          `json:"seed"`
-			Channels  []channelRecord `json:"channels"`
-		}{"mlb-bench", runtime.Version(), rep.Timestamp, *n, *seed, chRecs}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		chData = append(chData, '\n')
-		if err := os.WriteFile(*chOut, chData, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	aggRecs, err := benchAggregate(dep, *n, *seed, *r)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Agg = aggRecs
-	for _, ar := range aggRecs {
-		fmt.Printf("%-28s %6d latency %8.3f vs K=1 %12d ns/op\n",
-			ar.Name, ar.LatencySlots, ar.LatencyVsK1, ar.NsPerOp)
-	}
-	if *aggOut != "" {
-		aggData, err := json.MarshalIndent(struct {
-			Tool      string      `json:"tool"`
-			GoVersion string      `json:"go_version"`
-			Timestamp string      `json:"timestamp"`
-			Nodes     int         `json:"nodes"`
-			Seed      uint64      `json:"seed"`
-			Agg       []aggRecord `json:"agg"`
-		}{"mlb-bench", runtime.Version(), rep.Timestamp, *n, *seed, aggRecs}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		aggData = append(aggData, '\n')
-		if err := os.WriteFile(*aggOut, aggData, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	mdlRecs, err := benchModels(dep, *n, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Models = mdlRecs
-	for _, mr := range mdlRecs {
-		fmt.Printf("%-28s %6d latency %8.3f vs graph %12d ns/op\n",
-			mr.Name, mr.LatencySlots, mr.LatencyVsGraph, mr.NsPerOp)
-	}
-	if *mdlOut != "" {
-		mdlData, err := json.MarshalIndent(struct {
-			Tool      string        `json:"tool"`
-			GoVersion string        `json:"go_version"`
-			Timestamp string        `json:"timestamp"`
-			Nodes     int           `json:"nodes"`
-			Seed      uint64        `json:"seed"`
-			Models    []modelRecord `json:"models"`
-		}{"mlb-bench", runtime.Version(), rep.Timestamp, *n, *seed, mdlRecs}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		mdlData = append(mdlData, '\n')
-		if err := os.WriteFile(*mdlOut, mdlData, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	impRecs, err := benchImprove(dep, *n, *seed, *r)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Improve = impRecs
-	for _, ir := range impRecs {
-		fmt.Printf("%-28s %6d -> %4d slots (%d moves, exact=%v) %12d ns/op\n",
-			ir.Name, ir.InputSlots, ir.LatencySlots, ir.Moves, ir.Exact, ir.NsPerOp)
-	}
-	if *impOut != "" {
-		impData, err := json.MarshalIndent(struct {
-			Tool      string          `json:"tool"`
-			GoVersion string          `json:"go_version"`
-			Timestamp string          `json:"timestamp"`
-			Nodes     int             `json:"nodes"`
-			Seed      uint64          `json:"seed"`
-			Improve   []improveRecord `json:"improve"`
-		}{"mlb-bench", runtime.Version(), rep.Timestamp, *n, *seed, impRecs}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		impData = append(impData, '\n')
-		if err := os.WriteFile(*impOut, impData, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	obsRec, err := benchObs(150, *seed, *svcReqs)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Obs = []obsRecord{obsRec}
-	fmt.Printf("%-28s %12d ns disabled %10d ns enabled %+6.2f%% (%d spans)\n",
-		obsRec.Name, obsRec.DisabledNs, obsRec.EnabledNs, obsRec.OverheadPct, obsRec.Spans)
-	if *obsOut != "" {
-		obsData, err := json.MarshalIndent(struct {
-			Tool      string      `json:"tool"`
-			GoVersion string      `json:"go_version"`
-			Timestamp string      `json:"timestamp"`
-			Seed      uint64      `json:"seed"`
-			Obs       []obsRecord `json:"obs"`
-		}{"mlb-bench", runtime.Version(), rep.Timestamp, *seed, rep.Obs}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		obsData = append(obsData, '\n')
-		if err := os.WriteFile(*obsOut, obsData, 0o644); err != nil {
-			fatal(err)
+	for _, sec := range sections {
+		if err := sec.run(&rep); err != nil {
+			fatal(fmt.Errorf("%s: %w", sec.name, err))
 		}
 	}
 
@@ -403,6 +230,333 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%d records)\n", *out, len(rep.Records))
+}
+
+func (b *bench) sync() mlbs.Instance { return mlbs.SyncInstance(b.dep.G, b.dep.Source) }
+
+// duty is the deployment under a uniform duty cycle of rate r.
+func (b *bench) duty(r int) mlbs.Instance {
+	return mlbs.AsyncInstance(b.dep.G, b.dep.Source, mlbs.UniformWake(b.n, r, 9), 0)
+}
+
+// schedulers times every (scheduler, system) pair on the sync system and
+// the -r duty cycle, after a warm-up run that also supplies the scientific
+// outputs (latency, exactness).
+func (b *bench) schedulers(rep *report) error {
+	duty := fmt.Sprintf("duty-r%d", b.r)
+	syncIn, dutyIn := b.sync(), b.duty(b.r)
+	cases := []struct {
+		name   string
+		system string
+		in     mlbs.Instance
+		sched  mlbs.Scheduler
+	}{
+		{"sync/e-model", "sync", syncIn, mlbs.EModel()},
+		{"sync/g-opt", "sync", syncIn, mlbs.GOPT()},
+		{"sync/opt", "sync", syncIn, mlbs.OPT()},
+		{"sync/26-approx", "sync", syncIn, mlbs.Baseline26()},
+		{duty + "/e-model", "duty", dutyIn, mlbs.EModel()},
+		{duty + "/g-opt", "duty", dutyIn, mlbs.GOPT()},
+		{duty + "/17-approx", "duty", dutyIn, mlbs.Baseline17()},
+	}
+	for _, c := range cases {
+		res, err := c.sched.Schedule(c.in)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		nsOp, allocsOp, bytesOp, err := measure(b.iters, func() error {
+			_, err := c.sched.Schedule(c.in)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		rep.Records = append(rep.Records, record{
+			Name:        c.name,
+			System:      c.system,
+			Scheduler:   res.Scheduler,
+			Iterations:  b.iters,
+			NsPerOp:     nsOp,
+			AllocsPerOp: allocsOp,
+			BytesPerOp:  bytesOp,
+			LatencyPA:   res.Schedule.Latency(),
+			Exact:       res.Exact,
+		})
+		fmt.Printf("%-20s %12d ns/op %8d allocs/op %6d latency\n",
+			c.name, nsOp, allocsOp, res.Schedule.Latency())
+	}
+	return nil
+}
+
+func (b *bench) service(rep *report) error {
+	for _, n := range []int{150, 300} {
+		sr, err := benchService(n, b.seed, b.svcReqs)
+		if err != nil {
+			return fmt.Errorf("n=%d: %w", n, err)
+		}
+		rep.Service = append(rep.Service, sr)
+		fmt.Printf("%-20s %12.1f cold plans/s %10.1f warm plans/s %6.1fx\n",
+			sr.Name, sr.ColdPlansPerSec, sr.WarmPlansPerSec, sr.Speedup)
+	}
+	return nil
+}
+
+func (b *bench) reliability(rep *report) error {
+	for _, n := range []int{150, 300} {
+		rr, err := benchReliability(n, b.seed, b.relTr)
+		if err != nil {
+			return fmt.Errorf("n=%d: %w", n, err)
+		}
+		rep.Reliability = append(rep.Reliability, rr)
+		fmt.Printf("%-20s %12.0f replays/s %8.2f allocs/replay %8.4f delivery\n",
+			rr.Name, rr.ReplaysPerSec, rr.AllocsPerReplay, rr.MeanDelivery)
+	}
+	return nil
+}
+
+func (b *bench) obs(rep *report) error {
+	or, err := benchObs(150, b.seed, b.svcReqs)
+	if err != nil {
+		return err
+	}
+	rep.Obs = []obsRecord{or}
+	fmt.Printf("%-28s %12d ns disabled %10d ns enabled %+6.2f%% (%d spans)\n",
+		or.Name, or.DisabledNs, or.EnabledNs, or.OverheadPct, or.Spans)
+	return nil
+}
+
+// channels sweeps the latency-vs-K curve: the G-OPT schedule of the paper
+// deployment across K ∈ {1, 2, 4, 8} orthogonal channels, on the
+// synchronous system, the -r duty cycle, and the light r=50 duty cycle
+// (where conflict-induced re-wake waits dominate and channels collapse
+// latency; the synchronous system is hop-bound by Theorem 1's d+2, so its
+// curve is near-flat). Every schedule is validated and replayed before its
+// numbers are reported.
+func (b *bench) channels(rep *report) error {
+	systems := []struct {
+		name string
+		in   mlbs.Instance
+	}{
+		{"sync", b.sync()},
+		{fmt.Sprintf("duty-r%d", b.r), b.duty(b.r)},
+		{"duty-r50", b.duty(50)},
+	}
+	for _, sys := range systems {
+		k1 := 0
+		for _, k := range []int{1, 2, 4, 8} {
+			res, nsOp, err := checkedGOPT(mlbs.WithChannels(sys.in, k))
+			if err != nil {
+				return fmt.Errorf("%s K=%d: %w", sys.name, k, err)
+			}
+			lat := res.Schedule.Latency()
+			if k == 1 {
+				k1 = lat
+			}
+			rec := channelRecord{
+				Name:         fmt.Sprintf("channels/%s-n%d/k%d", sys.name, b.n, k),
+				Nodes:        b.n,
+				System:       sys.name,
+				Channels:     k,
+				LatencySlots: lat,
+				NsPerOp:      nsOp,
+				Exact:        res.Exact,
+			}
+			if k1 > 0 {
+				rec.LatencyVsK1 = float64(lat) / float64(k1)
+			}
+			rep.Channels = append(rep.Channels, rec)
+			fmt.Printf("%-28s %6d latency %8.3f vs K=1 %12d ns/op\n",
+				rec.Name, lat, rec.LatencyVsK1, nsOp)
+		}
+	}
+	return nil
+}
+
+// aggregate sweeps the convergecast latency-vs-K curve: the SPT
+// aggregation schedule of the paper deployment across K ∈ {1, 2, 4}
+// orthogonal channels, on the synchronous system and the -r duty cycle
+// (where the sink-ward merge waits on sleeping parents and channels buy
+// the most). Every schedule is validated and replayed — all readings at
+// the sink, zero collisions — before its numbers are reported.
+func (b *bench) aggregate(rep *report) error {
+	systems := []struct {
+		name string
+		in   mlbs.Instance
+	}{
+		{"sync", b.sync()},
+		{fmt.Sprintf("duty-r%d", b.r), b.duty(b.r)},
+	}
+	for _, sys := range systems {
+		k1 := 0
+		for _, k := range []int{1, 2, 4} {
+			in := mlbs.WithChannels(sys.in, k)
+			res, err := mlbs.ScheduleAggregate(in)
+			if err != nil {
+				return fmt.Errorf("%s K=%d: %w", sys.name, k, err)
+			}
+			if err := res.Schedule.Validate(in); err != nil {
+				return fmt.Errorf("%s K=%d: invalid schedule: %w", sys.name, k, err)
+			}
+			replay, err := mlbs.ReplayAggregate(in, res.Schedule)
+			if err != nil {
+				return fmt.Errorf("%s K=%d: %w", sys.name, k, err)
+			}
+			if !replay.Completed {
+				return fmt.Errorf("%s K=%d: replay incomplete or collided", sys.name, k)
+			}
+			nsOp, _, _, err := measure(1, func() error {
+				_, err := mlbs.ScheduleAggregate(in)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			lat := res.LatencySlots
+			if k == 1 {
+				k1 = lat
+			}
+			rec := aggRecord{
+				Name:         fmt.Sprintf("agg/%s-n%d/k%d", sys.name, b.n, k),
+				Nodes:        b.n,
+				System:       sys.name,
+				Channels:     k,
+				LatencySlots: lat,
+				NsPerOp:      nsOp,
+			}
+			if k1 > 0 {
+				rec.LatencyVsK1 = float64(lat) / float64(k1)
+			}
+			rep.Agg = append(rep.Agg, rec)
+			fmt.Printf("%-28s %6d latency %8.3f vs K=1 %12d ns/op\n",
+				rec.Name, lat, rec.LatencyVsK1, nsOp)
+		}
+	}
+	return nil
+}
+
+// models sweeps the latency-vs-interference-model curve: the G-OPT
+// schedule of the synchronous paper deployment under the protocol (graph)
+// model and two SINR settings of increasing strictness. Noise is zero, so
+// the SINR decision is scale-invariant in the deployment geometry and the
+// curve is a pure function of (n, seed, α, β).
+func (b *bench) models(rep *report) error {
+	models := []struct {
+		name        string
+		sinr        *mlbs.SINRParams
+		alpha, beta float64
+	}{
+		{"graph", nil, 0, 0},
+		{"sinr-a3b1", &mlbs.SINRParams{Alpha: 3, Beta: 1}, 3, 1},
+		{"sinr-a3b2", &mlbs.SINRParams{Alpha: 3, Beta: 2}, 3, 2},
+	}
+	graphLat := 0
+	for _, m := range models {
+		res, nsOp, err := checkedGOPT(mlbs.WithSINR(b.sync(), m.sinr))
+		if err != nil {
+			return fmt.Errorf("%s: %w", m.name, err)
+		}
+		lat := res.Schedule.Latency()
+		if m.sinr == nil {
+			graphLat = lat
+		}
+		rec := modelRecord{
+			Name:         fmt.Sprintf("models/sync-n%d/%s", b.n, m.name),
+			Nodes:        b.n,
+			Model:        m.name,
+			Alpha:        m.alpha,
+			Beta:         m.beta,
+			LatencySlots: lat,
+			NsPerOp:      nsOp,
+			Exact:        res.Exact,
+		}
+		if graphLat > 0 {
+			rec.LatencyVsGraph = float64(lat) / float64(graphLat)
+		}
+		rep.Models = append(rep.Models, rec)
+		fmt.Printf("%-28s %6d latency %8.3f vs graph %12d ns/op\n",
+			rec.Name, lat, rec.LatencyVsGraph, nsOp)
+	}
+	return nil
+}
+
+// improve runs the anytime improver over the baseline approximations
+// under deterministic move budgets — MaxMoves instead of a wall-clock
+// deadline, so the slot counts CI gates on cannot flake with machine load.
+func (b *bench) improve(rep *report) error {
+	systems := []struct {
+		name  string
+		in    mlbs.Instance
+		sched mlbs.Scheduler
+	}{
+		{"sync", b.sync(), mlbs.Baseline26()},
+		{fmt.Sprintf("duty-r%d", b.r), b.duty(b.r), mlbs.Baseline17()},
+	}
+	imp := mlbs.NewImprover()
+	for _, sys := range systems {
+		base, err := sys.sched.Schedule(sys.in)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sys.name, err)
+		}
+		for _, moves := range []int{8, 64} {
+			opt := mlbs.ImproveOptions{MaxMoves: moves}
+			res, st, err := imp.Improve(sys.in, base.Schedule, opt)
+			if err != nil {
+				return fmt.Errorf("%s moves=%d: %w", sys.name, moves, err)
+			}
+			if err := res.Validate(sys.in); err != nil {
+				return fmt.Errorf("%s moves=%d: invalid schedule: %w", sys.name, moves, err)
+			}
+			nsOp, _, _, err := measure(1, func() error {
+				_, _, err := imp.Improve(sys.in, base.Schedule, opt)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			rec := improveRecord{
+				Name:         fmt.Sprintf("improve/%s-n%d/moves%d", sys.name, b.n, moves),
+				Nodes:        b.n,
+				System:       sys.name,
+				MaxMoves:     moves,
+				InputSlots:   base.Schedule.Latency(),
+				LatencySlots: res.Latency(),
+				SlotsSaved:   st.SlotsSaved,
+				Moves:        st.Moves,
+				Searches:     st.Searches,
+				Exact:        st.Exact,
+				NsPerOp:      nsOp,
+			}
+			rep.Improve = append(rep.Improve, rec)
+			fmt.Printf("%-28s %6d -> %4d slots (%d moves, exact=%v) %12d ns/op\n",
+				rec.Name, rec.InputSlots, rec.LatencySlots, rec.Moves, rec.Exact, nsOp)
+		}
+	}
+	return nil
+}
+
+// checkedGOPT schedules in with G-OPT, validates and replays the schedule
+// under in's own model, and times one more search.
+func checkedGOPT(in mlbs.Instance) (*mlbs.Result, int64, error) {
+	sched := mlbs.GOPT()
+	res, err := sched.Schedule(in)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := res.Schedule.Validate(in); err != nil {
+		return nil, 0, fmt.Errorf("invalid schedule: %w", err)
+	}
+	rep, err := mlbs.Replay(in, res.Schedule)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !rep.Completed {
+		return nil, 0, errors.New("replay incomplete or collided")
+	}
+	nsOp, _, _, err := measure(1, func() error {
+		_, err := sched.Schedule(in)
+		return err
+	})
+	return res, nsOp, err
 }
 
 // benchObs measures what always-on tracing costs a cold plan: the same
@@ -539,249 +693,6 @@ func benchService(n int, seed uint64, reqs int) (serviceRecord, error) {
 		rec.Speedup = rec.WarmPlansPerSec / rec.ColdPlansPerSec
 	}
 	return rec, nil
-}
-
-// benchChannels sweeps the latency-vs-K curve: the G-OPT schedule of the
-// paper deployment across K ∈ {1, 2, 4, 8} orthogonal channels, on the
-// synchronous system, the -r duty cycle, and the light r=50 duty cycle
-// (where conflict-induced re-wake waits dominate and channels collapse
-// latency; the synchronous system is hop-bound by Theorem 1's d+2, so its
-// curve is near-flat). Every schedule is validated and replayed before its
-// numbers are reported.
-func benchChannels(dep *mlbs.Deployment, n int, seed uint64, r int) ([]channelRecord, error) {
-	systems := []struct {
-		name string
-		in   mlbs.Instance
-	}{
-		{"sync", mlbs.SyncInstance(dep.G, dep.Source)},
-		{fmt.Sprintf("duty-r%d", r), mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, 9), 0)},
-		{"duty-r50", mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, 50, 9), 0)},
-	}
-	var out []channelRecord
-	for _, sys := range systems {
-		k1 := 0
-		for _, k := range []int{1, 2, 4, 8} {
-			in := mlbs.WithChannels(sys.in, k)
-			sched := mlbs.GOPT()
-			res, err := sched.Schedule(in)
-			if err != nil {
-				return nil, fmt.Errorf("channels %s K=%d: %w", sys.name, k, err)
-			}
-			if err := res.Schedule.Validate(in); err != nil {
-				return nil, fmt.Errorf("channels %s K=%d: invalid schedule: %w", sys.name, k, err)
-			}
-			rep, err := mlbs.Replay(in, res.Schedule)
-			if err != nil {
-				return nil, fmt.Errorf("channels %s K=%d: %w", sys.name, k, err)
-			}
-			if !rep.Completed {
-				return nil, fmt.Errorf("channels %s K=%d: replay incomplete or collided", sys.name, k)
-			}
-			nsOp, _, _, err := measure(1, func() error {
-				_, err := sched.Schedule(in)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			lat := res.Schedule.Latency()
-			if k == 1 {
-				k1 = lat
-			}
-			rec := channelRecord{
-				Name:         fmt.Sprintf("channels/%s-n%d/k%d", sys.name, n, k),
-				Nodes:        n,
-				System:       sys.name,
-				Channels:     k,
-				LatencySlots: lat,
-				NsPerOp:      nsOp,
-				Exact:        res.Exact,
-			}
-			if k1 > 0 {
-				rec.LatencyVsK1 = float64(lat) / float64(k1)
-			}
-			out = append(out, rec)
-		}
-	}
-	return out, nil
-}
-
-// benchAggregate sweeps the convergecast latency-vs-K curve: the SPT
-// aggregation schedule of the paper deployment across K ∈ {1, 2, 4}
-// orthogonal channels, on the synchronous system and the -r duty cycle
-// (where the sink-ward merge waits on sleeping parents and channels buy
-// the most). Every schedule is validated and replayed — all readings at
-// the sink, zero collisions — before its numbers are reported.
-func benchAggregate(dep *mlbs.Deployment, n int, seed uint64, r int) ([]aggRecord, error) {
-	systems := []struct {
-		name string
-		in   mlbs.Instance
-	}{
-		{"sync", mlbs.SyncInstance(dep.G, dep.Source)},
-		{fmt.Sprintf("duty-r%d", r), mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, 9), 0)},
-	}
-	var out []aggRecord
-	for _, sys := range systems {
-		k1 := 0
-		for _, k := range []int{1, 2, 4} {
-			in := mlbs.WithChannels(sys.in, k)
-			res, err := mlbs.ScheduleAggregate(in)
-			if err != nil {
-				return nil, fmt.Errorf("agg %s K=%d: %w", sys.name, k, err)
-			}
-			if err := res.Schedule.Validate(in); err != nil {
-				return nil, fmt.Errorf("agg %s K=%d: invalid schedule: %w", sys.name, k, err)
-			}
-			rep, err := mlbs.ReplayAggregate(in, res.Schedule)
-			if err != nil {
-				return nil, fmt.Errorf("agg %s K=%d: %w", sys.name, k, err)
-			}
-			if !rep.Completed {
-				return nil, fmt.Errorf("agg %s K=%d: replay incomplete or collided", sys.name, k)
-			}
-			nsOp, _, _, err := measure(1, func() error {
-				_, err := mlbs.ScheduleAggregate(in)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			lat := res.LatencySlots
-			if k == 1 {
-				k1 = lat
-			}
-			rec := aggRecord{
-				Name:         fmt.Sprintf("agg/%s-n%d/k%d", sys.name, n, k),
-				Nodes:        n,
-				System:       sys.name,
-				Channels:     k,
-				LatencySlots: lat,
-				NsPerOp:      nsOp,
-			}
-			if k1 > 0 {
-				rec.LatencyVsK1 = float64(lat) / float64(k1)
-			}
-			out = append(out, rec)
-		}
-	}
-	return out, nil
-}
-
-// benchModels sweeps the latency-vs-interference-model curve: the G-OPT
-// schedule of the synchronous paper deployment under the protocol (graph)
-// model and two SINR settings of increasing strictness. Noise is zero, so
-// the SINR decision is scale-invariant in the deployment geometry and the
-// curve is a pure function of (n, seed, α, β).
-func benchModels(dep *mlbs.Deployment, n int, seed uint64) ([]modelRecord, error) {
-	base := mlbs.SyncInstance(dep.G, dep.Source)
-	models := []struct {
-		name        string
-		sinr        *mlbs.SINRParams
-		alpha, beta float64
-	}{
-		{"graph", nil, 0, 0},
-		{"sinr-a3b1", &mlbs.SINRParams{Alpha: 3, Beta: 1}, 3, 1},
-		{"sinr-a3b2", &mlbs.SINRParams{Alpha: 3, Beta: 2}, 3, 2},
-	}
-	var out []modelRecord
-	graphLat := 0
-	for _, m := range models {
-		in := mlbs.WithSINR(base, m.sinr)
-		sched := mlbs.GOPT()
-		res, err := sched.Schedule(in)
-		if err != nil {
-			return nil, fmt.Errorf("models %s: %w", m.name, err)
-		}
-		if err := res.Schedule.Validate(in); err != nil {
-			return nil, fmt.Errorf("models %s: invalid schedule: %w", m.name, err)
-		}
-		rep, err := mlbs.Replay(in, res.Schedule)
-		if err != nil {
-			return nil, fmt.Errorf("models %s: %w", m.name, err)
-		}
-		if !rep.Completed {
-			return nil, fmt.Errorf("models %s: replay incomplete or collided", m.name)
-		}
-		nsOp, _, _, err := measure(1, func() error {
-			_, err := sched.Schedule(in)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		lat := res.Schedule.Latency()
-		if m.sinr == nil {
-			graphLat = lat
-		}
-		rec := modelRecord{
-			Name:         fmt.Sprintf("models/sync-n%d/%s", n, m.name),
-			Nodes:        n,
-			Model:        m.name,
-			Alpha:        m.alpha,
-			Beta:         m.beta,
-			LatencySlots: lat,
-			NsPerOp:      nsOp,
-			Exact:        res.Exact,
-		}
-		if graphLat > 0 {
-			rec.LatencyVsGraph = float64(lat) / float64(graphLat)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// benchImprove runs the anytime improver over the baseline approximations
-// under deterministic move budgets — MaxMoves instead of a wall-clock
-// deadline, so the slot counts CI gates on cannot flake with machine load.
-func benchImprove(dep *mlbs.Deployment, n int, seed uint64, r int) ([]improveRecord, error) {
-	systems := []struct {
-		name  string
-		in    mlbs.Instance
-		sched mlbs.Scheduler
-	}{
-		{"sync", mlbs.SyncInstance(dep.G, dep.Source), mlbs.Baseline26()},
-		{fmt.Sprintf("duty-r%d", r), mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, 9), 0), mlbs.Baseline17()},
-	}
-	imp := mlbs.NewImprover()
-	var out []improveRecord
-	for _, sys := range systems {
-		base, err := sys.sched.Schedule(sys.in)
-		if err != nil {
-			return nil, fmt.Errorf("improve %s: %w", sys.name, err)
-		}
-		for _, moves := range []int{8, 64} {
-			opt := mlbs.ImproveOptions{MaxMoves: moves}
-			res, st, err := imp.Improve(sys.in, base.Schedule, opt)
-			if err != nil {
-				return nil, fmt.Errorf("improve %s moves=%d: %w", sys.name, moves, err)
-			}
-			if err := res.Validate(sys.in); err != nil {
-				return nil, fmt.Errorf("improve %s moves=%d: invalid schedule: %w", sys.name, moves, err)
-			}
-			nsOp, _, _, err := measure(1, func() error {
-				_, _, err := imp.Improve(sys.in, base.Schedule, opt)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, improveRecord{
-				Name:         fmt.Sprintf("improve/%s-n%d/moves%d", sys.name, n, moves),
-				Nodes:        n,
-				System:       sys.name,
-				MaxMoves:     moves,
-				InputSlots:   base.Schedule.Latency(),
-				LatencySlots: res.Latency(),
-				SlotsSaved:   st.SlotsSaved,
-				Moves:        st.Moves,
-				Searches:     st.Searches,
-				Exact:        st.Exact,
-				NsPerOp:      nsOp,
-			})
-		}
-	}
-	return out, nil
 }
 
 // benchReliability measures the Monte-Carlo engine: one warm-up batch,

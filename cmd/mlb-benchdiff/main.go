@@ -1,285 +1,166 @@
 // Command mlb-benchdiff is the CI bench regression gate: it compares a
 // current mlb-bench report against a checked-in baseline and fails (exit
-// code 1) when a pinned metric regresses beyond the tolerance.
+// code 1) when a pinned metric regresses past its pin.
 //
 // Usage:
 //
-//	mlb-benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json [-tol 0.25]
+//	mlb-benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json
 //
-// Pinned metrics, chosen because they are deterministic for a fixed
-// (n, seed, r) — wall-clock numbers are NOT compared, CI machines are too
-// noisy for that:
+// The pins are the table below. Slot and span counts are deterministic for
+// a fixed (n, seed, r) and allocation counts nearly so; obs.overhead_pct is
+// the only wall-clock number compared, CI machines are too noisy for the
+// rest. A rule is either exact or an upper bound cur ≤ base·(1+rel)+abs:
 //
-//   - records[].latency_slots — the scheduled broadcast latency per
-//     (scheduler, system) case;
-//   - records[].allocs_per_op — the allocation-discipline pins (with an
-//     absolute slack, so a 2→3 alloc jitter on a tiny count cannot flake);
-//   - reliability[].allocs_per_replay — the Monte-Carlo engine's ~0
-//     allocs/replay contract;
-//   - channels[].latency_slots — the latency-vs-K curve;
-//   - agg[].latency_slots — the convergecast latency-vs-K curve,
-//     deterministic for a fixed (n, seed, r, K) and compared with zero
-//     relative slack;
-//   - models[].latency_slots — the latency-vs-interference-model curve
-//     (graph vs SINR), deterministic for a fixed (n, seed, α, β) and
-//     compared with zero relative slack: the oracle indirection landing
-//     the protocol model on a different schedule IS the regression this
-//     section exists to catch;
-//   - improve[].latency_slots — the anytime improver's slot counts under
-//     deterministic move budgets (must never exceed baseline: the improver
-//     getting WORSE at improving is a regression even inside tolerance, so
-//     these compare with zero relative slack);
-//   - obs[].spans — the span count of a traced cold plan, deterministic for
-//     a fixed request shape, compared exactly;
-//   - obs[].overhead_pct — the tracing-enabled-vs-disabled cold-plan tax,
-//     compared with an absolute percentage-point slack (-obs-slack) because
-//     shared CI runners make tight wall-clock ratios flake.
+//	section      metric             rule
+//	records      latency_slots      ≤ base·1.25      broadcast latency per (scheduler, system)
+//	records      allocs_per_op      ≤ base·1.25+200  alloc discipline; slack absorbs tiny-count jitter
+//	reliability  allocs_per_replay  ≤ base·1.25+1    Monte-Carlo engine's ~0 allocs/replay
+//	channels     latency_slots      ≤ base·1.25      latency-vs-K curve
+//	agg          latency_slots      exact            convergecast latency-vs-K, deterministic per K
+//	models       latency_slots      exact            graph vs SINR: a drifted schedule IS the regression
+//	improve      latency_slots      ≤ base           the improver getting worse at improving
+//	obs          spans              exact            span tree of a traced cold plan
+//	obs          overhead_pct       ≤ base+10        tracing tax; points of slack for shared runners
 //
-// A record present in the baseline but missing from the current report is
-// also a failure: silently dropping a benchmark is how regressions hide.
+// A baseline record missing from the current report fails, and so does a
+// pinned metric missing from a current record: silently dropping a
+// benchmark is how regressions hide. Current records the baseline lacks
+// are ignored.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 )
 
-// benchReport mirrors the mlb-bench output schema, keeping only the
-// pinned fields.
-type benchReport struct {
-	Records []struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-		AllocsPerOp  int64  `json:"allocs_per_op"`
-	} `json:"records"`
-	Reliability []struct {
-		Name            string  `json:"name"`
-		AllocsPerReplay float64 `json:"allocs_per_replay"`
-	} `json:"reliability"`
-	Channels []struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-	} `json:"channels"`
-	Agg []struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-	} `json:"agg"`
-	Models []struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-	} `json:"models"`
-	Improve []struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-	} `json:"improve"`
-	Obs []struct {
-		Name        string  `json:"name"`
-		OverheadPct float64 `json:"overhead_pct"`
-		Spans       int     `json:"spans"`
-	} `json:"obs"`
+// pin gates one metric of every record in one report section.
+type pin struct {
+	section, metric string
+	// exact pins require cur == base; the others cur ≤ base·(1+rel)+abs.
+	exact    bool
+	rel, abs float64
 }
 
-// tolerances bundles the comparison knobs.
-type tolerances struct {
-	// Rel is the relative regression bound: current may be at most
-	// (1+Rel) × baseline.
-	Rel float64
-	// AllocSlack is the absolute allocs/op slack added on top of the
-	// relative bound, absorbing fixed-size jitter on small counts.
-	AllocSlack float64
-	// ObsOverheadSlack is the absolute percentage-point slack on the
-	// tracing-overhead comparison: wall-clock ratios on shared CI runners
-	// are too noisy for a tight bound, so the real zero-cost pin lives in
-	// the alloc-count unit tests and this gate only catches the tracing
-	// path becoming grossly expensive.
-	ObsOverheadSlack float64
+var pins = []pin{
+	{section: "records", metric: "latency_slots", rel: 0.25},
+	{section: "records", metric: "allocs_per_op", rel: 0.25, abs: 200},
+	{section: "reliability", metric: "allocs_per_replay", rel: 0.25, abs: 1},
+	{section: "channels", metric: "latency_slots", rel: 0.25},
+	{section: "agg", metric: "latency_slots", exact: true},
+	{section: "models", metric: "latency_slots", exact: true},
+	{section: "improve", metric: "latency_slots"},
+	{section: "obs", metric: "spans", exact: true},
+	{section: "obs", metric: "overhead_pct", abs: 10},
 }
 
-// compare returns every regression found, empty when the gate passes.
-func compare(baseline, current benchReport, tol tolerances) []string {
-	var fails []string
-	exceeds := func(cur, base, slack float64) bool {
-		return cur > base*(1+tol.Rel)+slack
-	}
+// report is an mlb-bench report as the gate reads it: section → records,
+// each record its JSON fields by name.
+type report map[string][]map[string]any
 
-	cur := make(map[string]int, len(current.Records))
-	curAllocs := make(map[string]int64, len(current.Records))
-	for _, r := range current.Records {
-		cur[r.Name] = r.LatencySlots
-		curAllocs[r.Name] = r.AllocsPerOp
-	}
-	for _, b := range baseline.Records {
-		got, ok := cur[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("record %q missing from current report", b.Name))
-			continue
-		}
-		if exceeds(float64(got), float64(b.LatencySlots), 0) {
-			fails = append(fails, fmt.Sprintf("%s: latency %d slots, baseline %d (>%d%% regression)",
-				b.Name, got, b.LatencySlots, int(tol.Rel*100)))
-		}
-		if exceeds(float64(curAllocs[b.Name]), float64(b.AllocsPerOp), tol.AllocSlack) {
-			fails = append(fails, fmt.Sprintf("%s: %d allocs/op, baseline %d (>%d%% + %d regression)",
-				b.Name, curAllocs[b.Name], b.AllocsPerOp, int(tol.Rel*100), int(tol.AllocSlack)))
-		}
-	}
+// failure is one pin violation; metric is empty when the whole record is
+// missing.
+type failure struct {
+	record, metric, msg string
+}
 
-	curRel := make(map[string]float64, len(current.Reliability))
-	for _, r := range current.Reliability {
-		curRel[r.Name] = r.AllocsPerReplay
-	}
-	for _, b := range baseline.Reliability {
-		got, ok := curRel[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("reliability record %q missing from current report", b.Name))
-			continue
+// compare returns every pin violation, empty when the gate passes.
+func compare(baseline, current report) []failure {
+	var fails []failure
+	missing := map[string]bool{} // section/record, reported once across its pins
+	for _, p := range pins {
+		byName := make(map[string]map[string]any, len(current[p.section]))
+		for _, r := range current[p.section] {
+			byName[name(r)] = r
 		}
-		// allocs/replay pins sit near zero; compare with a fixed +1 slack.
-		if got > b.AllocsPerReplay*(1+tol.Rel)+1 {
-			fails = append(fails, fmt.Sprintf("%s: %.2f allocs/replay, baseline %.2f",
-				b.Name, got, b.AllocsPerReplay))
-		}
-	}
-
-	curCh := make(map[string]int, len(current.Channels))
-	for _, r := range current.Channels {
-		curCh[r.Name] = r.LatencySlots
-	}
-	for _, b := range baseline.Channels {
-		got, ok := curCh[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("channel record %q missing from current report", b.Name))
-			continue
-		}
-		if exceeds(float64(got), float64(b.LatencySlots), 0) {
-			fails = append(fails, fmt.Sprintf("%s: latency %d slots, baseline %d",
-				b.Name, got, b.LatencySlots))
-		}
-	}
-	curAgg := make(map[string]int, len(current.Agg))
-	for _, r := range current.Agg {
-		curAgg[r.Name] = r.LatencySlots
-	}
-	for _, b := range baseline.Agg {
-		got, ok := curAgg[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("agg record %q missing from current report", b.Name))
-			continue
-		}
-		// Convergecast schedules are deterministic per (n, seed, r, K): any
-		// slot drift is a real scheduling change — no relative slack.
-		if got != b.LatencySlots {
-			fails = append(fails, fmt.Sprintf("%s: convergecast latency %d slots, baseline %d",
-				b.Name, got, b.LatencySlots))
-		}
-	}
-	curMdl := make(map[string]int, len(current.Models))
-	for _, r := range current.Models {
-		curMdl[r.Name] = r.LatencySlots
-	}
-	for _, b := range baseline.Models {
-		got, ok := curMdl[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("model record %q missing from current report", b.Name))
-			continue
-		}
-		// Deterministic schedules per (n, seed, model): any slot drift is a
-		// real scheduling change — no relative slack.
-		if got != b.LatencySlots {
-			fails = append(fails, fmt.Sprintf("%s: latency %d slots, baseline %d",
-				b.Name, got, b.LatencySlots))
-		}
-	}
-	curImp := make(map[string]int, len(current.Improve))
-	for _, r := range current.Improve {
-		curImp[r.Name] = r.LatencySlots
-	}
-	for _, b := range baseline.Improve {
-		got, ok := curImp[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("improve record %q missing from current report", b.Name))
-			continue
-		}
-		// Deterministic move budgets: the improved slot count is exact, so
-		// any increase is a real quality regression — no relative slack.
-		if got > b.LatencySlots {
-			fails = append(fails, fmt.Sprintf("%s: improved latency %d slots, baseline %d",
-				b.Name, got, b.LatencySlots))
-		}
-	}
-	type obsPin struct {
-		overhead float64
-		spans    int
-	}
-	curObs := make(map[string]obsPin, len(current.Obs))
-	for _, r := range current.Obs {
-		curObs[r.Name] = obsPin{r.OverheadPct, r.Spans}
-	}
-	for _, b := range baseline.Obs {
-		got, ok := curObs[b.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("obs record %q missing from current report", b.Name))
-			continue
-		}
-		// The span tree of a fixed request shape is deterministic: any
-		// change must be a deliberate baseline update, so compare exactly.
-		if got.spans != b.Spans {
-			fails = append(fails, fmt.Sprintf("%s: traced cold plan has %d spans, baseline %d",
-				b.Name, got.spans, b.Spans))
-		}
-		if got.overhead > b.OverheadPct+tol.ObsOverheadSlack {
-			fails = append(fails, fmt.Sprintf("%s: tracing overhead %.2f%%, baseline %.2f%% (+%.0f-point slack)",
-				b.Name, got.overhead, b.OverheadPct, tol.ObsOverheadSlack))
+		for _, b := range baseline[p.section] {
+			rec := name(b)
+			cur, ok := byName[rec]
+			if !ok {
+				if key := p.section + "/" + rec; !missing[key] {
+					missing[key] = true
+					fails = append(fails, failure{rec, "", fmt.Sprintf("%s record %q missing from current report", p.section, rec)})
+				}
+				continue
+			}
+			if why := p.violation(b, cur); why != "" {
+				fails = append(fails, failure{rec, p.metric, rec + ": " + p.metric + " " + why})
+			}
 		}
 	}
 	return fails
 }
 
-func load(path string) (benchReport, error) {
-	var rep benchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
+// violation says how cur breaks the pin, or returns "" when it holds.
+func (p pin) violation(base, cur map[string]any) string {
+	b, ok := base[p.metric].(float64)
+	if !ok {
+		return "missing from baseline"
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
+	c, ok := cur[p.metric].(float64)
+	limit := b*(1+p.rel) + p.abs
+	switch {
+	case !ok:
+		return "missing from current report"
+	case p.exact && c != b:
+		return fmt.Sprintf("%g, baseline %g (pinned exactly)", c, b)
+	case !p.exact && c > limit:
+		return fmt.Sprintf("%g, baseline %g (limit %g)", c, b, limit)
+	}
+	return ""
+}
+
+func name(r map[string]any) string {
+	s, _ := r["name"].(string)
+	return s
+}
+
+// decode reads the pinned sections of an mlb-bench report.
+func decode(data []byte) (report, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, err
+	}
+	rep := report{}
+	for _, p := range pins {
+		if raw[p.section] == nil {
+			continue
+		}
+		var recs []map[string]any
+		if err := json.Unmarshal(raw[p.section], &recs); err != nil {
+			return nil, fmt.Errorf("section %s: %w", p.section, err)
+		}
+		rep[p.section] = recs
 	}
 	return rep, nil
 }
 
 func main() {
-	var (
-		basePath   = flag.String("baseline", "BENCH_baseline.json", "checked-in baseline report")
-		curPath    = flag.String("current", "BENCH_ci.json", "freshly generated report")
-		tol        = flag.Float64("tol", 0.25, "relative regression tolerance")
-		allocSlack = flag.Float64("alloc-slack", 200, "absolute allocs/op slack")
-		obsSlack   = flag.Float64("obs-slack", 10, "absolute percentage-point slack on tracing overhead")
-	)
+	basePath := flag.String("baseline", "BENCH_baseline.json", "checked-in baseline report")
+	curPath := flag.String("current", "BENCH_ci.json", "freshly generated report")
 	flag.Parse()
-	if *tol < 0 || math.IsNaN(*tol) {
-		fmt.Fprintln(os.Stderr, "mlb-benchdiff: tolerance must be >= 0")
-		os.Exit(2)
+	var reps [2]report
+	for i, path := range []string{*basePath, *curPath} {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			reps[i], err = decode(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mlb-benchdiff: %s: %v\n", path, err)
+			os.Exit(2)
+		}
 	}
-	baseline, err := load(*basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlb-benchdiff:", err)
-		os.Exit(2)
-	}
-	current, err := load(*curPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlb-benchdiff:", err)
-		os.Exit(2)
-	}
-	fails := compare(baseline, current, tolerances{Rel: *tol, AllocSlack: *allocSlack, ObsOverheadSlack: *obsSlack})
-	if len(fails) > 0 {
+	baseline, current := reps[0], reps[1]
+	if fails := compare(baseline, current); len(fails) > 0 {
 		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", f)
+			fmt.Fprintln(os.Stderr, "REGRESSION:", f.msg)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("mlb-benchdiff: %d scheduler, %d reliability, %d channel, %d agg, %d model, %d improve, %d obs records within %.0f%% of baseline\n",
-		len(baseline.Records), len(baseline.Reliability), len(baseline.Channels), len(baseline.Agg), len(baseline.Models), len(baseline.Improve), len(baseline.Obs), *tol*100)
+	fmt.Print("mlb-benchdiff: every pin holds:")
+	for _, p := range pins {
+		fmt.Printf(" %s.%s×%d", p.section, p.metric, len(baseline[p.section]))
+	}
+	fmt.Println()
 }

@@ -1,18 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func report(t *testing.T, src string) benchReport {
+func parse(t *testing.T, src string) report {
 	t.Helper()
-	var rep benchReport
-	if err := json.Unmarshal([]byte(src), &rep); err != nil {
+	rep, err := decode([]byte(src))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// set overwrites one metric of the i-th record of a section, as the
+// float64 a decoded report holds.
+func set(r report, section string, i int, metric string, v float64) {
+	r[section][i][metric] = v
 }
 
 const baselineJSON = `{
@@ -40,189 +45,194 @@ const baselineJSON = `{
   ]
 }`
 
-var defaultTol = tolerances{Rel: 0.25, AllocSlack: 200, ObsOverheadSlack: 10}
-
 func TestCompareIdenticalPasses(t *testing.T) {
-	b := report(t, baselineJSON)
-	if fails := compare(b, b, defaultTol); len(fails) != 0 {
+	b := parse(t, baselineJSON)
+	if fails := compare(b, b); len(fails) != 0 {
 		t.Fatalf("identical reports flagged: %v", fails)
 	}
 }
 
 func TestCompareWithinTolerancePasses(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Records[0].LatencySlots = 10   // 8 → 10 = exactly +25%
-	cur.Records[1].AllocsPerOp = 11000 // within 25% + slack
-	cur.Reliability[0].AllocsPerReplay = 0.9
-	if fails := compare(b, cur, defaultTol); len(fails) != 0 {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "records", 0, "latency_slots", 10)    // 8 → 10 = exactly +25%
+	set(cur, "records", 1, "allocs_per_op", 11000) // within 25% + slack
+	set(cur, "reliability", 0, "allocs_per_replay", 0.9)
+	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("within-tolerance report flagged: %v", fails)
 	}
 }
 
 func TestCompareLatencyRegressionFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Records[0].LatencySlots = 11 // 8 → 11 > +25%
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "sync/g-opt") {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "records", 0, "latency_slots", 11) // 8 → 11 > +25%
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "sync/g-opt") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareAllocRegressionFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Records[1].AllocsPerOp = 12000 // > 9000*1.25+200
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/op") {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "records", 1, "allocs_per_op", 12000) // > 9000*1.25+200
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "allocs_per_op") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareAllocSlackAbsorbsSmallCounts(t *testing.T) {
-	b := report(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":3}]}`)
-	cur := report(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":150}]}`)
-	if fails := compare(b, cur, defaultTol); len(fails) != 0 {
+	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":3}]}`)
+	cur := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":150}]}`)
+	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("slack did not absorb a tiny absolute jump: %v", fails)
 	}
 }
 
 func TestCompareChannelRegressionFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Channels[1].LatencySlots = 50 // the K=4 win evaporated
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "k4") {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "channels", 1, "latency_slots", 50) // the K=4 win evaporated
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "k4") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareAggDriftFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
 	// Convergecast latencies gate with ZERO slack in BOTH directions: a
 	// drifted deterministic schedule is a behaviour change even when it
 	// happens to be shorter.
-	cur.Agg[1].LatencySlots = 89
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "agg/duty-r10-n300/k4") {
+	set(cur, "agg", 1, "latency_slots", 89)
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "agg/duty-r10-n300/k4") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareAggMissingFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Agg = nil
-	fails := compare(b, cur, defaultTol)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	delete(cur, "agg")
+	fails := compare(b, cur)
 	if len(fails) != 2 {
 		t.Fatalf("want 2 missing agg records, got %v", fails)
 	}
 }
 
 func TestCompareMissingRecordFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Records = cur.Records[:1]
-	cur.Channels = nil
-	fails := compare(b, cur, defaultTol)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	cur["records"] = cur["records"][:1]
+	delete(cur, "channels")
+	fails := compare(b, cur)
 	if len(fails) != 3 {
 		t.Fatalf("want 3 missing-record failures, got %v", fails)
 	}
 	for _, f := range fails {
-		if !strings.Contains(f, "missing") {
-			t.Fatalf("unexpected failure: %s", f)
+		if !strings.Contains(f.msg, "missing") {
+			t.Fatalf("unexpected failure: %s", f.msg)
 		}
 	}
 }
 
 func TestCompareReliabilityAllocFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Reliability[0].AllocsPerReplay = 5
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/replay") {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "reliability", 0, "allocs_per_replay", 5)
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "allocs_per_replay") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareExtraCurrentRecordsIgnored(t *testing.T) {
-	b := report(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":10}]}`)
-	cur := report(t, baselineJSON)
-	cur.Records = append(cur.Records, struct {
-		Name         string `json:"name"`
-		LatencySlots int    `json:"latency_slots"`
-		AllocsPerOp  int64  `json:"allocs_per_op"`
-	}{"x", 5, 10})
-	if fails := compare(b, cur, defaultTol); len(fails) != 0 {
+	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":10}]}`)
+	cur := parse(t, baselineJSON)
+	cur["records"] = append(cur["records"], map[string]any{"name": "x", "latency_slots": 5.0, "allocs_per_op": 10.0})
+	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("extra records should not fail the gate: %v", fails)
 	}
 }
 
 func TestCompareImproveRegressionFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
 	// Improve records gate with ZERO slack: even one extra slot — well
 	// inside the 25% relative tolerance — is a quality regression.
-	cur.Improve[1].LatencySlots = 21
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "moves64") {
+	set(cur, "improve", 1, "latency_slots", 21)
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "moves64") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareImproveMissingFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Improve = nil
-	fails := compare(b, cur, defaultTol)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	delete(cur, "improve")
+	fails := compare(b, cur)
 	if len(fails) != 2 {
 		t.Fatalf("want 2 missing improve records, got %v", fails)
 	}
 }
 
 func TestCompareObsSpanDriftFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
 	// The span tree is deterministic: even one FEWER span must fail — a
 	// silently vanished phase is an observability regression.
-	cur.Obs[0].Spans = 4
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "spans") {
+	set(cur, "obs", 0, "spans", 4)
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "spans") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareObsOverheadGate(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Obs[0].OverheadPct = 11.0 // within baseline 1.5 + 10-point slack
-	if fails := compare(b, cur, defaultTol); len(fails) != 0 {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "obs", 0, "overhead_pct", 11.0) // within baseline 1.5 + 10-point slack
+	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("within-slack overhead flagged: %v", fails)
 	}
-	cur.Obs[0].OverheadPct = 12.0 // beyond the slack
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "overhead") {
+	set(cur, "obs", 0, "overhead_pct", 12.0) // beyond the slack
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "overhead") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareObsMissingFails(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Obs = nil
-	fails := compare(b, cur, defaultTol)
-	if len(fails) != 1 || !strings.Contains(fails[0], "obs record") {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	delete(cur, "obs")
+	fails := compare(b, cur)
+	if len(fails) != 1 || !strings.Contains(fails[0].msg, "obs record") {
 		t.Fatalf("fails = %v", fails)
 	}
 }
 
 func TestCompareImproveBetterPasses(t *testing.T) {
-	b := report(t, baselineJSON)
-	cur := report(t, baselineJSON)
-	cur.Improve[0].LatencySlots = 18 // improver got better — never a failure
-	if fails := compare(b, cur, defaultTol); len(fails) != 0 {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	set(cur, "improve", 0, "latency_slots", 18) // improver got better — never a failure
+	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("improvement flagged: %v", fails)
+	}
+}
+
+func TestCompareMissingMetricFails(t *testing.T) {
+	b := parse(t, baselineJSON)
+	cur := parse(t, baselineJSON)
+	// An absent metric must not read as 0 and slip under an upper bound.
+	delete(cur["records"][0], "latency_slots")
+	fails := compare(b, cur)
+	if len(fails) != 1 || fails[0].record != "sync/g-opt" || fails[0].metric != "latency_slots" {
+		t.Fatalf("fails = %v", fails)
 	}
 }

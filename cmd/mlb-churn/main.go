@@ -122,13 +122,9 @@ func run(n int, seed uint64, dutyRate int, scheduler string, budget int,
 	if err != nil {
 		return err
 	}
-	dep, err := mlbs.PaperDeployment(n, seed)
+	base, err := (mlbs.PlanGenerator{N: n, Seed: seed, DutyRate: dutyRate}).Instance()
 	if err != nil {
 		return err
-	}
-	base := mlbs.SyncInstance(dep.G, dep.Source)
-	if dutyRate > 1 {
-		base = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, dutyRate, seed^0xA5), 0)
 	}
 
 	trace, err := mlbs.GenerateChurnTrace(base, mlbs.ChurnTraceConfig{

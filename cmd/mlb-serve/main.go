@@ -405,7 +405,7 @@ func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (
 		if inst == nil {
 			// Generator form: rebuild the instance the service planned
 			// (deterministic from the same parameters).
-			in, err := generatorInstance(hr.baseSelection)
+			in, err := gen.Instance()
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, err)
 				return resp.Digest, err
@@ -480,32 +480,6 @@ func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reque
 		Result:       resJSON,
 	})
 	return resp.Digest, nil
-}
-
-// generatorInstance mirrors the service's generator resolution (and
-// mlb-run's conventions) for the replay path.
-func generatorInstance(b baseSelection) (mlbs.Instance, error) {
-	dep, err := mlbs.PaperDeployment(b.N, b.Seed)
-	if err != nil {
-		return mlbs.Instance{}, err
-	}
-	var in mlbs.Instance
-	if b.R > 1 {
-		ws := b.WakeSeed
-		if ws == 0 {
-			ws = b.Seed ^ 0xA5
-		}
-		in = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(b.N, b.R, ws), 0)
-	} else {
-		in = mlbs.SyncInstance(dep.G, dep.Source)
-	}
-	if b.Channels > 1 {
-		in.Channels = b.Channels
-	}
-	if b.SINRAlpha != 0 || b.SINRBeta != 0 || b.SINRNoise != 0 {
-		in = mlbs.WithSINR(in, &mlbs.SINRParams{Alpha: b.SINRAlpha, Beta: b.SINRBeta, Noise: b.SINRNoise})
-	}
-	return in, nil
 }
 
 // validateHTTPRequest is the wire form of a reliability validation: the

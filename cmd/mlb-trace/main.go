@@ -64,14 +64,9 @@ func run(table, n int, seed uint64, r int, full bool) error {
 		namer = fig2Namer
 		title = "Table IV — Figure 2(e), duty cycle r = 10, t_s = 2"
 	case n > 0:
-		dep, err := mlbs.PaperDeployment(n, seed)
-		if err != nil {
+		var err error
+		if in, err = (mlbs.PlanGenerator{N: n, Seed: seed, DutyRate: r}).Instance(); err != nil {
 			return err
-		}
-		if r > 1 {
-			in = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, seed^0xA5), 0)
-		} else {
-			in = mlbs.SyncInstance(dep.G, dep.Source)
 		}
 		title = fmt.Sprintf("G-OPT trace — n=%d seed=%d r=%d", n, seed, r)
 	default:

@@ -109,23 +109,23 @@ func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (Aggregat
 	}
 	defer s.inflight.Done()
 	if err := ctx.Err(); err != nil {
-		return AggregateResponse{}, err
+		return AggregateResponse{}, s.fail(err)
 	}
 	kind, err := parseAggSpec(req.Scheduler)
 	if err != nil {
-		return AggregateResponse{}, err
+		return AggregateResponse{}, s.fail(err)
 	}
 	tr := obs.FromContext(ctx)
 	rs := tr.Root().Child("resolve")
 	in, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
 		rs.End()
-		return AggregateResponse{}, err
+		return AggregateResponse{}, s.fail(err)
 	}
 	digest, err := graphio.AggInstanceDigest(in)
 	if err != nil {
 		rs.End()
-		return AggregateResponse{}, err
+		return AggregateResponse{}, s.fail(err)
 	}
 	if rs != nil {
 		rs.SetInt("nodes", int64(in.G.N()))
@@ -143,17 +143,11 @@ func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (Aggregat
 	elapsed := time.Since(start)
 	if err != nil {
 		cs.End()
-		s.errs.Add(1)
-		return AggregateResponse{}, err
+		return AggregateResponse{}, s.fail(err)
 	}
 	cs.SetBool("hit", hit)
 	cs.SetBool("coalesced", coalesced)
 	cs.End()
-	if hit {
-		s.hitHist.observe(elapsed)
-	} else {
-		s.missHist.observe(elapsed)
-	}
 	return AggregateResponse{
 		Digest:    digest.String(),
 		Scheduler: res.Scheduler,

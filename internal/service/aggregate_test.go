@@ -55,7 +55,7 @@ func TestAggregateBasic(t *testing.T) {
 
 	// The aggregation digest must not alias the broadcast digest of the
 	// same topology: the two workloads answer different questions.
-	pr, err := s.Plan(ctx, Request{Generator: &Generator{N: 80, Seed: 3}})
+	pr, err := s.Plan(ctx, WorkloadRequest{Generator: &Generator{N: 80, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,5 +200,29 @@ func TestAggregateRejectsBadRequests(t *testing.T) {
 	s.Close()
 	if _, err := s.Aggregate(ctx, AggregateRequest{WorkloadRequest{Generator: &Generator{N: 10, Seed: 1}}}); err == nil {
 		t.Fatal("aggregate after close succeeded")
+	}
+}
+
+// TestAggregateStaysOutOfPlanLatency: the hit/miss histograms back the
+// plan-only latency series, so convergecast requests must not land there.
+func TestAggregateStaysOutOfPlanLatency(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+	req := WorkloadRequest{Generator: &Generator{N: 80, Seed: 3}}
+	const plans, aggs = 2, 3
+	for i := 0; i < plans; i++ {
+		if _, err := s.Plan(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < aggs; i++ {
+		if _, err := s.Aggregate(ctx, AggregateRequest{req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := s.Metrics()
+	if got := m.HitLatency.Count + m.MissLatency.Count; got != plans {
+		t.Fatalf("plan latency histograms hold %d observations after %d plans and %d aggregates", got, plans, aggs)
 	}
 }

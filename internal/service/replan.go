@@ -132,29 +132,29 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	}
 	defer s.inflight.Done()
 	if err := ctx.Err(); err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	if err := req.Delta.Validate(); err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	base, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	if base.G == nil {
-		return ReplanResponse{}, errors.New("service: replan base has no graph")
+		return ReplanResponse{}, s.fail(errors.New("service: replan base has no graph"))
 	}
 	baseDigest, err := graphio.InstanceDigest(base)
 	if err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	deltaDigest, err := churn.DeltaDigest(req.Delta)
 	if err != nil {
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	pkey := planKey(baseDigest, sp)
 	rkey := pkey + "|replan|" + deltaDigest.String()
@@ -179,8 +179,7 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 		})
 	if err != nil {
 		cs.End()
-		s.errs.Add(1)
-		return ReplanResponse{}, err
+		return ReplanResponse{}, s.fail(err)
 	}
 	if cs != nil {
 		cs.SetBool("hit", hit)

@@ -89,7 +89,7 @@ func TestServiceReplanBasics(t *testing.T) {
 	// asking for an exact schedule the repair cannot promise). Only cold
 	// repairs — actual engine output — are published under the mutated
 	// digest.
-	pr, err := svc.Plan(ctx, Request{Instance: &mutated})
+	pr, err := svc.Plan(ctx, WorkloadRequest{Instance: &mutated})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServiceReplanBasics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpr, err := svc.Plan(ctx, Request{Instance: &cmutated})
+		cpr, err := svc.Plan(ctx, WorkloadRequest{Instance: &cmutated})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestServiceChurnConcurrency(t *testing.T) {
 	}
 	var snaps []snap
 	for i := range bases {
-		resp, err := svc.Plan(ctx, Request{Instance: &bases[i]})
+		resp, err := svc.Plan(ctx, WorkloadRequest{Instance: &bases[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestServiceChurnConcurrency(t *testing.T) {
 			base := bases[bi]
 			switch i % 4 {
 			case 0:
-				if _, err := svc.Plan(ctx, Request{Instance: &base}); err != nil {
+				if _, err := svc.Plan(ctx, WorkloadRequest{Instance: &base}); err != nil {
 					mu.Lock()
 					errs = append(errs, err)
 					mu.Unlock()

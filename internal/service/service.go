@@ -104,6 +104,45 @@ type Generator struct {
 	SINRNoise float64 `json:"sinr_noise,omitempty"`
 }
 
+// Instance builds the generator's instance: the paper deployment, on the
+// uniform duty cycle when DutyRate > 1, with the requested channels and
+// SINR model. It is deterministic in the generator's fields, so a client
+// can rebuild exactly the instance the service planned.
+func (g Generator) Instance() (core.Instance, error) {
+	if g.N < 1 {
+		return core.Instance{}, fmt.Errorf("service: generator node count %d", g.N)
+	}
+	if g.Channels < 0 || g.Channels > core.MaxChannels {
+		return core.Instance{}, fmt.Errorf("service: generator channel count %d outside [0,%d]", g.Channels, core.MaxChannels)
+	}
+	var sinr *interference.SINRParams
+	if g.SINRAlpha != 0 || g.SINRBeta != 0 || g.SINRNoise != 0 {
+		sinr = &interference.SINRParams{Alpha: g.SINRAlpha, Beta: g.SINRBeta, Noise: g.SINRNoise}
+		if err := sinr.Validate(g.N); err != nil {
+			return core.Instance{}, fmt.Errorf("service: %w", err)
+		}
+	}
+	dep, err := topology.Generate(topology.PaperConfig(g.N), g.Seed)
+	if err != nil {
+		return core.Instance{}, err
+	}
+	var in core.Instance
+	if g.DutyRate > 1 {
+		ws := g.WakeSeed
+		if ws == 0 {
+			ws = g.Seed ^ 0xA5
+		}
+		in = core.Async(dep.G, dep.Source, dutycycle.NewUniform(g.N, g.DutyRate, ws, 0), 0)
+	} else {
+		in = core.Sync(dep.G, dep.Source)
+	}
+	if g.Channels > 1 {
+		in.Channels = g.Channels // K=1 is stored as 0, the canonical single-channel form
+	}
+	in.SINR = sinr
+	return in, nil
+}
+
 // WorkloadRequest is the shared request envelope of every workload the
 // service answers — plan, aggregate, validate, replan. It selects the
 // instance (exactly one of Instance and Generator must be set, with the
@@ -135,10 +174,6 @@ type WorkloadRequest struct {
 	// scheduler), which is what lets generations accumulate.
 	ImproveBudget time.Duration
 }
-
-// Request is one plan request — the original name of the shared envelope,
-// kept as an alias so plan call sites read as before.
-type Request = WorkloadRequest
 
 // Response is one plan answer. Result is shared and immutable.
 type Response struct {
@@ -756,10 +791,18 @@ func (s *Service) enter() error {
 	return nil
 }
 
+// fail counts err as a request that ended in an error and returns it.
+// Every error a workload method returns after enter succeeds goes
+// through here; the success path never touches the counter.
+func (s *Service) fail(err error) error {
+	s.errs.Add(1)
+	return err
+}
+
 // resolve materializes the request's instance, serving Generator requests
 // from the deployment cache so repeat generator traffic never re-samples
 // the topology.
-func (s *Service) resolve(req Request) (core.Instance, error) {
+func (s *Service) resolve(req WorkloadRequest) (core.Instance, error) {
 	switch {
 	case req.Instance != nil && req.Generator != nil:
 		return core.Instance{}, errors.New("service: request sets both Instance and Generator")
@@ -769,21 +812,8 @@ func (s *Service) resolve(req Request) (core.Instance, error) {
 		return core.Instance{}, errors.New("service: request sets neither Instance nor Generator")
 	}
 	gen := *req.Generator
-	if gen.N < 1 {
-		return core.Instance{}, fmt.Errorf("service: generator node count %d", gen.N)
-	}
-	if gen.Channels < 0 || gen.Channels > core.MaxChannels {
-		return core.Instance{}, fmt.Errorf("service: generator channel count %d outside [0,%d]", gen.Channels, core.MaxChannels)
-	}
 	if gen.Channels == 1 {
 		gen.Channels = 0 // canonical single-channel form, one cache entry
-	}
-	var sinr *interference.SINRParams
-	if gen.SINRAlpha != 0 || gen.SINRBeta != 0 || gen.SINRNoise != 0 {
-		sinr = &interference.SINRParams{Alpha: gen.SINRAlpha, Beta: gen.SINRBeta, Noise: gen.SINRNoise}
-		if err := sinr.Validate(gen.N); err != nil {
-			return core.Instance{}, fmt.Errorf("service: %w", err)
-		}
 	}
 	key := "gen|" + strconv.Itoa(gen.N) + "|" + strconv.FormatUint(gen.Seed, 10) +
 		"|" + strconv.Itoa(gen.DutyRate) + "|" + strconv.FormatUint(gen.WakeSeed, 10) +
@@ -791,26 +821,7 @@ func (s *Service) resolve(req Request) (core.Instance, error) {
 		"|" + strconv.FormatFloat(gen.SINRAlpha, 'g', -1, 64) +
 		"|" + strconv.FormatFloat(gen.SINRBeta, 'g', -1, 64) +
 		"|" + strconv.FormatFloat(gen.SINRNoise, 'g', -1, 64)
-	in, _, _, err := s.gens.GetOrCompute(key, func() (core.Instance, error) {
-		dep, err := topology.Generate(topology.PaperConfig(gen.N), gen.Seed)
-		if err != nil {
-			return core.Instance{}, err
-		}
-		var in core.Instance
-		if gen.DutyRate > 1 {
-			ws := gen.WakeSeed
-			if ws == 0 {
-				ws = gen.Seed ^ 0xA5
-			}
-			wake := dutycycle.NewUniform(gen.N, gen.DutyRate, ws, 0)
-			in = core.Async(dep.G, dep.Source, wake, 0)
-		} else {
-			in = core.Sync(dep.G, dep.Source)
-		}
-		in.Channels = gen.Channels
-		in.SINR = sinr
-		return in, nil
-	})
+	in, _, _, err := s.gens.GetOrCompute(key, gen.Instance)
 	return in, err
 }
 
@@ -892,18 +903,18 @@ func (s *Service) planFor(ctx context.Context, key string, in core.Instance, sp 
 // Plan answers one request: from the cache when the instance has been
 // planned before, otherwise by exactly one search even under concurrent
 // identical requests.
-func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
+func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, error) {
 	start := time.Now()
 	if err := s.enter(); err != nil {
 		return Response{}, err
 	}
 	defer s.inflight.Done()
 	if err := ctx.Err(); err != nil {
-		return Response{}, err
+		return Response{}, s.fail(err)
 	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
-		return Response{}, err
+		return Response{}, s.fail(err)
 	}
 	// tr is nil on untraced requests — every span call below is then a
 	// nil-receiver no-op, which is what keeps the warm path's alloc pin.
@@ -912,12 +923,12 @@ func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
 	in, err := s.resolve(req)
 	if err != nil {
 		rs.End()
-		return Response{}, err
+		return Response{}, s.fail(err)
 	}
 	digest, err := graphio.InstanceDigest(in)
 	if err != nil {
 		rs.End()
-		return Response{}, err
+		return Response{}, s.fail(err)
 	}
 	if rs != nil {
 		rs.SetInt("nodes", int64(in.G.N()))
@@ -932,8 +943,7 @@ func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
 	elapsed := time.Since(start)
 	if err != nil {
 		cs.End()
-		s.errs.Add(1)
-		return Response{}, err
+		return Response{}, s.fail(err)
 	}
 	cs.SetBool("hit", hit)
 	cs.SetBool("coalesced", coalesced)
@@ -970,7 +980,7 @@ func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
 
 // PlanBatch answers many requests concurrently, preserving order.
 // Per-item failures land in Response.Err; the batch itself always returns.
-func (s *Service) PlanBatch(ctx context.Context, reqs []Request) []Response {
+func (s *Service) PlanBatch(ctx context.Context, reqs []WorkloadRequest) []Response {
 	resps := make([]Response, len(reqs))
 	var wg sync.WaitGroup
 	for i := range reqs {
@@ -1035,7 +1045,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest, emit func(SweepIt
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			resp, err := s.Plan(ctx, Request{
+			resp, err := s.Plan(ctx, WorkloadRequest{
 				Generator: &Generator{N: n, Seed: seed, DutyRate: req.DutyRate, WakeSeed: req.WakeSeed, Channels: req.Channels,
 					SINRAlpha: req.SINRAlpha, SINRBeta: req.SINRBeta, SINRNoise: req.SINRNoise},
 				Scheduler: req.Scheduler,

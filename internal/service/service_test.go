@@ -37,7 +37,7 @@ func TestConcurrentSameInstance(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = svc.Plan(context.Background(), Request{Instance: in})
+			resps[i], errs[i] = svc.Plan(context.Background(), WorkloadRequest{Instance: in})
 		}(i)
 	}
 	wg.Wait()
@@ -84,7 +84,7 @@ func TestWarmHitPathAllocs(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	req := Request{Instance: in}
+	req := WorkloadRequest{Instance: in}
 	ctx := context.Background()
 	if _, err := svc.Plan(ctx, req); err != nil {
 		t.Fatal(err)
@@ -111,11 +111,11 @@ func TestDistinctInstancesDistinctPlans(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	ctx := context.Background()
-	r1, err := svc.Plan(ctx, Request{Instance: testInstance(t, 80, 1)})
+	r1, err := svc.Plan(ctx, WorkloadRequest{Instance: testInstance(t, 80, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := svc.Plan(ctx, Request{Instance: testInstance(t, 80, 2)})
+	r2, err := svc.Plan(ctx, WorkloadRequest{Instance: testInstance(t, 80, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestSchedulerPartOfKey(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 	in := testInstance(t, 80, 3)
-	g, err := svc.Plan(ctx, Request{Instance: in, Scheduler: "gopt"})
+	g, err := svc.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "gopt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := svc.Plan(ctx, Request{Instance: in, Scheduler: "emodel"})
+	e, err := svc.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "emodel"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestGeneratorRequests(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 	gen := &Generator{N: 80, Seed: 5, DutyRate: 10}
-	r1, err := svc.Plan(ctx, Request{Generator: gen})
+	r1, err := svc.Plan(ctx, WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := svc.Plan(ctx, Request{Generator: gen})
+	r2, err := svc.Plan(ctx, WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestGeneratorRequests(t *testing.T) {
 	// The generated instance must match what a caller building it by hand
 	// gets (mlb-run convention: wake seed = seed^0xA5, start at the
 	// source's first wake slot).
-	in, err := svc.resolve(Request{Generator: gen})
+	in, err := svc.resolve(WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +187,17 @@ func TestNoCacheBypassesLookupButStores(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 	in := testInstance(t, 80, 4)
-	if _, err := svc.Plan(ctx, Request{Instance: in, NoCache: true}); err != nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Instance: in, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Plan(ctx, Request{Instance: in, NoCache: true}); err != nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Instance: in, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if m := svc.Metrics(); m.Searches != 2 {
 		t.Errorf("NoCache requests ran %d searches; want 2", m.Searches)
 	}
 	// A normal request afterwards is served from the stored result.
-	r, err := svc.Plan(ctx, Request{Instance: in})
+	r, err := svc.Plan(ctx, WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestNoCacheBypassesLookupButStores(t *testing.T) {
 func TestPlanBatch(t *testing.T) {
 	svc := New(Config{Workers: 4})
 	defer svc.Close()
-	reqs := []Request{
+	reqs := []WorkloadRequest{
 		{Generator: &Generator{N: 60, Seed: 1}},
 		{Generator: &Generator{N: 60, Seed: 2}},
 		{Generator: &Generator{N: 60, Seed: 1}}, // duplicate of [0]
@@ -276,12 +276,12 @@ func TestSweepStreams(t *testing.T) {
 func TestClose(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	in := testInstance(t, 60, 1)
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != nil {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
 	svc.Close() // idempotent
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != ErrClosed {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != ErrClosed {
 		t.Fatalf("Plan after Close: %v", err)
 	}
 }
@@ -301,5 +301,47 @@ func TestHistPercentiles(t *testing.T) {
 	}
 	if h.count() != 1000 {
 		t.Errorf("count = %d", h.count())
+	}
+}
+
+// TestErrorsCountEarlyFailures: every request that ends in an error counts
+// once in Metrics.Errors, including those rejected before any cache or
+// worker is reached.
+func TestErrorsCountEarlyFailures(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	bad := map[string]WorkloadRequest{
+		"unknown scheduler": {Generator: &Generator{N: 60, Seed: 1}, Scheduler: "nosuch"},
+		"zero nodes":        {Generator: &Generator{N: 0}},
+	}
+	methods := map[string]func(WorkloadRequest) error{
+		"plan": func(r WorkloadRequest) error {
+			_, err := s.Plan(ctx, r)
+			return err
+		},
+		"aggregate": func(r WorkloadRequest) error {
+			_, err := s.Aggregate(ctx, AggregateRequest{r})
+			return err
+		},
+		"validate": func(r WorkloadRequest) error {
+			_, err := s.Validate(ctx, ValidateRequest{WorkloadRequest: r})
+			return err
+		},
+		"replan": func(r WorkloadRequest) error {
+			_, err := s.Replan(ctx, ReplanRequest{WorkloadRequest: r})
+			return err
+		},
+	}
+	for method, call := range methods {
+		for name, req := range bad {
+			before := s.Metrics().Errors
+			if err := call(req); err == nil {
+				t.Fatalf("%s with %s succeeded", method, name)
+			}
+			if got := s.Metrics().Errors - before; got != 1 {
+				t.Errorf("%s with %s: Errors rose by %d, want 1", method, name, got)
+			}
+		}
 	}
 }

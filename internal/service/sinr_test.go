@@ -17,8 +17,8 @@ func TestPlanGeneratorSINR(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 
-	graphReq := Request{Generator: &Generator{N: 60, Seed: 1}}
-	sinrReq := Request{Generator: &Generator{N: 60, Seed: 1, SINRAlpha: 3, SINRBeta: 2}}
+	graphReq := WorkloadRequest{Generator: &Generator{N: 60, Seed: 1}}
+	sinrReq := WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, SINRAlpha: 3, SINRBeta: 2}}
 
 	graphResp, err := svc.Plan(ctx, graphReq)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestPlanGeneratorSINR(t *testing.T) {
 		t.Fatal("repeat SINR request missed the cache")
 	}
 
-	if _, err := svc.Plan(ctx, Request{Generator: &Generator{N: 60, Seed: 1, SINRAlpha: 3, SINRBeta: -1}}); err == nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, SINRAlpha: 3, SINRBeta: -1}}); err == nil {
 		t.Fatal("service accepted a negative SINR threshold")
 	}
 }

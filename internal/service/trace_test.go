@@ -28,7 +28,7 @@ func TestTracedPlanSpans(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	req := Request{Instance: in, ImproveBudget: 20 * time.Millisecond}
+	req := WorkloadRequest{Instance: in, ImproveBudget: 20 * time.Millisecond}
 
 	tr := obs.NewTrace("/v1/plan")
 	resp, err := svc.Plan(obs.NewContext(context.Background(), tr), req)
@@ -73,7 +73,7 @@ func TestTracedPlanSpans(t *testing.T) {
 
 	// Warm traced hit: cache phase only.
 	tr2 := obs.NewTrace("/v1/plan")
-	resp2, err := svc.Plan(obs.NewContext(context.Background(), tr2), Request{Instance: in})
+	resp2, err := svc.Plan(obs.NewContext(context.Background(), tr2), WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTracedUntracedResultsIdentical(t *testing.T) {
 	in := testInstance(t, 120, 3)
 
 	svcA := New(Config{Workers: 1})
-	plain, err := svcA.Plan(context.Background(), Request{Instance: in})
+	plain, err := svcA.Plan(context.Background(), WorkloadRequest{Instance: in})
 	svcA.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTracedUntracedResultsIdentical(t *testing.T) {
 	svcB := New(Config{Workers: 1})
 	defer svcB.Close()
 	tr := obs.NewTrace("/v1/plan")
-	traced, err := svcB.Plan(obs.NewContext(context.Background(), tr), Request{Instance: in})
+	traced, err := svcB.Plan(obs.NewContext(context.Background(), tr), WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTracedReplanSpan(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != nil {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != nil {
 		t.Fatal(err)
 	}
 

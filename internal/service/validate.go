@@ -88,25 +88,25 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	}
 	defer s.inflight.Done()
 	if err := ctx.Err(); err != nil {
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	model, err := req.Loss.Normalize()
 	if err != nil {
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	trials := req.Trials
 	if trials <= 0 {
 		trials = reliability.DefaultTrials
 	}
 	if trials > MaxValidateTrials {
-		return ValidateResponse{}, fmt.Errorf("service: %d trials exceeds the cap of %d", trials, MaxValidateTrials)
+		return ValidateResponse{}, s.fail(fmt.Errorf("service: %d trials exceeds the cap of %d", trials, MaxValidateTrials))
 	}
 	if req.Target < 0 || req.Target > 1 {
-		return ValidateResponse{}, fmt.Errorf("service: repair target %v outside [0, 1]", req.Target)
+		return ValidateResponse{}, s.fail(fmt.Errorf("service: repair target %v outside [0, 1]", req.Target))
 	}
 	maxExtra := req.MaxExtraSlots
 	if maxExtra <= 0 {
@@ -120,11 +120,11 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	}
 	in, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	digest, err := graphio.InstanceDigest(in)
 	if err != nil {
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	pkey := planKey(digest, sp)
 	s.validations.Add(1)
@@ -137,8 +137,7 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	res, planHit, _, err := s.planFor(ctx, pkey, in, sp, false, 0)
 	if err != nil {
 		ps.End()
-		s.errs.Add(1)
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	if ps != nil {
 		ps.SetBool("hit", planHit)
@@ -158,8 +157,7 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 		})
 	if err != nil {
 		vs.End()
-		s.errs.Add(1)
-		return ValidateResponse{}, err
+		return ValidateResponse{}, s.fail(err)
 	}
 	if vs != nil {
 		vs.SetBool("hit", hit)

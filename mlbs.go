@@ -135,7 +135,7 @@ type (
 	// caching discipline.
 	WorkloadRequest = service.WorkloadRequest
 	// PlanRequest is one plan-service request.
-	PlanRequest = service.Request
+	PlanRequest = service.WorkloadRequest
 	// PlanGenerator is the request form that asks the service to build the
 	// paper-topology instance itself.
 	PlanGenerator = service.Generator
