@@ -339,7 +339,7 @@ type planHTTPResponse struct {
 	Exact      bool            `json:"exact"`
 	Generation int             `json:"generation,omitempty"`
 	Improved   bool            `json:"improved,omitempty"`
-	Result     json.RawMessage `json:"result"`
+	Result     mlbs.ResultWire `json:"result"`
 	Report     *mlbs.Report    `json:"report,omitempty"`
 }
 
@@ -385,7 +385,7 @@ func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (
 		httpError(w, http.StatusBadRequest, err)
 		return "", err
 	}
-	resJSON, err := mlbs.EncodeResult(resp.Result)
+	resWire, err := mlbs.NewResultWire(resp.Result)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return resp.Digest, err
@@ -399,7 +399,7 @@ func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (
 		Exact:      resp.Result.Exact,
 		Generation: resp.Result.Generation,
 		Improved:   resp.Result.Improved,
-		Result:     resJSON,
+		Result:     resWire,
 	}
 	if hr.Replay {
 		if inst == nil {
@@ -440,8 +440,8 @@ type aggregateHTTPResponse struct {
 	ElapsedNs int64  `json:"elapsed_ns"`
 	// LatencySlots mirrors the nested result's makespan so clients polling
 	// for the headline number need not parse the schedule.
-	LatencySlots int             `json:"latency_slots"`
-	Result       json.RawMessage `json:"result"`
+	LatencySlots int                `json:"latency_slots"`
+	Result       mlbs.AggResultWire `json:"result"`
 }
 
 func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
@@ -465,7 +465,7 @@ func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reque
 		httpError(w, http.StatusBadRequest, err)
 		return "", err
 	}
-	resJSON, err := mlbs.EncodeAggResult(resp.Result)
+	resWire, err := mlbs.NewAggResultWire(resp.Result)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return resp.Digest, err
@@ -477,7 +477,7 @@ func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reque
 		Coalesced:    resp.Coalesced,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
 		LatencySlots: resp.Result.LatencySlots,
-		Result:       resJSON,
+		Result:       resWire,
 	})
 	return resp.Digest, nil
 }
@@ -498,26 +498,26 @@ type validateHTTPRequest struct {
 }
 
 type validateHTTPResponse struct {
-	Digest       string          `json:"digest"`
-	Scheduler    string          `json:"scheduler"`
-	CacheHit     bool            `json:"cache_hit"`
-	Coalesced    bool            `json:"coalesced"`
-	PlanCacheHit bool            `json:"plan_cache_hit"`
-	ElapsedNs    int64           `json:"elapsed_ns"`
-	Report       json.RawMessage `json:"report"`
-	Repair       *repairHTTP     `json:"repair,omitempty"`
+	Digest       string                     `json:"digest"`
+	Scheduler    string                     `json:"scheduler"`
+	CacheHit     bool                       `json:"cache_hit"`
+	Coalesced    bool                       `json:"coalesced"`
+	PlanCacheHit bool                       `json:"plan_cache_hit"`
+	ElapsedNs    int64                      `json:"elapsed_ns"`
+	Report       mlbs.ReliabilityReportWire `json:"report"`
+	Repair       *repairHTTP                `json:"repair,omitempty"`
 }
 
 type repairHTTP struct {
-	Target          float64         `json:"target"`
-	TargetMet       bool            `json:"target_met"`
-	Rounds          int             `json:"rounds"`
-	AddedAdvances   int             `json:"added_advances"`
-	AddedSlots      int             `json:"added_slots"`
-	BaseLatency     int             `json:"base_latency"`
-	RepairedLatency int             `json:"repaired_latency"`
-	Before          json.RawMessage `json:"before"`
-	Schedule        json.RawMessage `json:"schedule"`
+	Target          float64                    `json:"target"`
+	TargetMet       bool                       `json:"target_met"`
+	Rounds          int                        `json:"rounds"`
+	AddedAdvances   int                        `json:"added_advances"`
+	AddedSlots      int                        `json:"added_slots"`
+	BaseLatency     int                        `json:"base_latency"`
+	RepairedLatency int                        `json:"repaired_latency"`
+	Before          mlbs.ReliabilityReportWire `json:"before"`
+	Schedule        mlbs.ScheduleWire          `json:"schedule"`
 }
 
 func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
@@ -544,7 +544,7 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 		httpError(w, http.StatusBadRequest, err)
 		return "", err
 	}
-	repJSON, err := mlbs.EncodeReliabilityReport(resp.Report)
+	repWire, err := mlbs.NewReliabilityReportWire(resp.Report)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return resp.Digest, err
@@ -556,15 +556,15 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 		Coalesced:    resp.Coalesced,
 		PlanCacheHit: resp.PlanCacheHit,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
-		Report:       repJSON,
+		Report:       repWire,
 	}
 	if rr := resp.Repair; rr != nil {
-		beforeJSON, err := mlbs.EncodeReliabilityReport(rr.Before)
+		beforeWire, err := mlbs.NewReliabilityReportWire(rr.Before)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return resp.Digest, err
 		}
-		schedJSON, err := mlbs.EncodeSchedule(rr.Schedule)
+		schedWire, err := mlbs.NewScheduleWire(rr.Schedule)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return resp.Digest, err
@@ -577,8 +577,8 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 			AddedSlots:      rr.AddedSlots,
 			BaseLatency:     rr.BaseLatency,
 			RepairedLatency: rr.RepairedLatency,
-			Before:          beforeJSON,
-			Schedule:        schedJSON,
+			Before:          beforeWire,
+			Schedule:        schedWire,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -606,7 +606,7 @@ type replanHTTPResponse struct {
 	CacheHit     bool            `json:"cache_hit"`
 	Coalesced    bool            `json:"coalesced"`
 	ElapsedNs    int64           `json:"elapsed_ns"`
-	Result       json.RawMessage `json:"result"`
+	Result       mlbs.ResultWire `json:"result"`
 }
 
 func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
@@ -637,7 +637,7 @@ func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request)
 		httpError(w, http.StatusBadRequest, err)
 		return "", err
 	}
-	resJSON, err := mlbs.EncodeResult(resp.Result)
+	resWire, err := mlbs.NewResultWire(resp.Result)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return resp.Digest, err
@@ -653,7 +653,7 @@ func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request)
 		CacheHit:     resp.CacheHit,
 		Coalesced:    resp.Coalesced,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
-		Result:       resJSON,
+		Result:       resWire,
 	})
 	return resp.Digest, nil
 }
@@ -804,6 +804,9 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
 }
 
+// writeJSON encodes v in one pass. The /v1/* envelopes embed their
+// results, reports and schedules as graphio wire forms, not as
+// pre-encoded bytes the encoder would have to compact and indent again.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

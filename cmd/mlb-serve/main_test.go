@@ -175,6 +175,25 @@ func TestParseServeFlagsPlumbing(t *testing.T) {
 	}
 }
 
+// decodeResponse reads a response body into v and also returns its
+// top-level fields as raw bytes, so the nested wire documents reach the
+// graphio decoders exactly as a client receives them.
+func decodeResponse(t *testing.T, r *http.Response, v any) map[string]json.RawMessage {
+	t.Helper()
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestValidateEndpointSmoke drives the full HTTP path: plan + Monte-Carlo
 // validation with repair, then a warm repeat that must be a cache hit.
 func TestValidateEndpointSmoke(t *testing.T) {
@@ -193,13 +212,11 @@ func TestValidateEndpointSmoke(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var out validateHTTPResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	raw := decodeResponse(t, resp, &out)
 	if len(out.Digest) != 64 || out.CacheHit {
 		t.Fatalf("cold response: %+v", out)
 	}
-	rep, err := mlbs.DecodeReliabilityReport(out.Report)
+	rep, err := mlbs.DecodeReliabilityReport(raw["report"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +229,11 @@ func TestValidateEndpointSmoke(t *testing.T) {
 	if out.Repair.RepairedLatency < out.Repair.BaseLatency {
 		t.Fatalf("repair: %+v", out.Repair)
 	}
-	if _, err := mlbs.DecodeSchedule(out.Repair.Schedule); err != nil {
+	var repair map[string]json.RawMessage
+	if err := json.Unmarshal(raw["repair"], &repair); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mlbs.DecodeSchedule(repair["schedule"]); err != nil {
 		t.Fatalf("repaired schedule does not decode: %v", err)
 	}
 
@@ -223,13 +244,11 @@ func TestValidateEndpointSmoke(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var out2 validateHTTPResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out2); err != nil {
-		t.Fatal(err)
-	}
+	raw2 := decodeResponse(t, resp2, &out2)
 	if !out2.CacheHit {
 		t.Fatal("warm validation was not a cache hit")
 	}
-	if string(out2.Report) != string(out.Report) {
+	if string(raw2["report"]) != string(raw["report"]) {
 		t.Fatal("warm report differs from cold report")
 	}
 
@@ -280,9 +299,7 @@ func TestReplanEndpointSmoke(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var out replanHTTPResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	raw := decodeResponse(t, resp, &out)
 	if len(out.BaseDigest) != 64 || len(out.Digest) != 64 || out.BaseDigest == out.Digest {
 		t.Fatalf("digests: %+v", out)
 	}
@@ -292,7 +309,7 @@ func TestReplanEndpointSmoke(t *testing.T) {
 	if out.Strategy == "" || out.BaseAdvances == 0 {
 		t.Fatalf("classification missing: %+v", out)
 	}
-	res, err := mlbs.DecodeResult(out.Result)
+	res, err := mlbs.DecodeResult(raw["result"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +324,11 @@ func TestReplanEndpointSmoke(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var out2 replanHTTPResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out2); err != nil {
-		t.Fatal(err)
-	}
+	raw2 := decodeResponse(t, resp2, &out2)
 	if !out2.CacheHit {
 		t.Fatal("warm replan was not a cache hit")
 	}
-	if string(out2.Result) != string(out.Result) {
+	if string(raw2["result"]) != string(raw["result"]) {
 		t.Fatal("warm replan result differs from cold")
 	}
 
@@ -377,16 +392,14 @@ func TestAggregateEndpointSmoke(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var out aggregateHTTPResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	raw := decodeResponse(t, resp, &out)
 	if len(out.Digest) != 64 || out.CacheHit || out.Scheduler != "agg-spt" {
 		t.Fatalf("cold response: %+v", out)
 	}
 	if out.LatencySlots <= 0 {
 		t.Fatalf("latency_slots %d", out.LatencySlots)
 	}
-	res, err := mlbs.DecodeAggResult(out.Result)
+	res, err := mlbs.DecodeAggResult(raw["result"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,13 +414,11 @@ func TestAggregateEndpointSmoke(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var out2 aggregateHTTPResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out2); err != nil {
-		t.Fatal(err)
-	}
+	raw2 := decodeResponse(t, resp2, &out2)
 	if !out2.CacheHit {
 		t.Fatal("warm aggregation was not a cache hit")
 	}
-	if string(out2.Result) != string(out.Result) {
+	if string(raw2["result"]) != string(raw["result"]) {
 		t.Fatal("warm result differs from cold")
 	}
 

@@ -10,7 +10,7 @@ import (
 )
 
 // aggScheduleJSON is the stored form of an aggregate.Schedule, columnar
-// like scheduleJSON: parallel arrays per advance plus the routing tree's
+// like ScheduleWire: parallel arrays per advance plus the routing tree's
 // parent array. The channel column is present only when some advance uses
 // a channel above 0, so single-channel encodings stay minimal.
 type aggScheduleJSON struct {
@@ -108,33 +108,39 @@ func DecodeAggSchedule(data []byte) (*aggregate.Schedule, error) {
 	return fromAggScheduleJSON(st)
 }
 
-// aggResultJSON is the stored form of an aggregate.Result — the schema the
-// aggregation endpoint's HTTP responses embed.
-type aggResultJSON struct {
+// AggResultWire is the wire form of an aggregate.Result — the schema the
+// aggregation endpoint's HTTP responses embed. EncodeAggResult is its
+// indented JSON.
+type AggResultWire struct {
 	Version   int             `json:"version"`
 	Scheduler string          `json:"scheduler"`
 	Latency   int             `json:"latency"`
 	Schedule  aggScheduleJSON `json:"schedule"`
 }
 
-// EncodeAggResult serializes an aggregation scheduling result.
-func EncodeAggResult(res *aggregate.Result) ([]byte, error) {
+// NewAggResultWire projects an aggregation scheduling result onto its wire
+// form.
+func NewAggResultWire(res *aggregate.Result) (AggResultWire, error) {
 	if res == nil || res.Schedule == nil {
-		return nil, fmt.Errorf("graphio: nil aggregation result")
+		return AggResultWire{}, fmt.Errorf("graphio: nil aggregation result")
 	}
-	out := aggResultJSON{
+	return AggResultWire{
 		Version:   currentVersion,
 		Scheduler: res.Scheduler,
 		Latency:   res.Schedule.Latency(),
 		Schedule:  toAggScheduleJSON(res.Schedule),
-	}
-	return json.MarshalIndent(out, "", " ")
+	}, nil
+}
+
+// EncodeAggResult serializes an aggregation scheduling result.
+func EncodeAggResult(res *aggregate.Result) ([]byte, error) {
+	return marshalWire(NewAggResultWire(res))
 }
 
 // DecodeAggResult rebuilds an aggregation result from EncodeAggResult
 // output.
 func DecodeAggResult(data []byte) (*aggregate.Result, error) {
-	var st aggResultJSON
+	var st AggResultWire
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
@@ -154,10 +160,6 @@ func DecodeAggResult(data []byte) (*aggregate.Result, error) {
 // topology asked as a broadcast and as a convergecast must never share a
 // cache key or alias each other's plans.
 func AggInstanceDigest(in core.Instance) (Digest, error) {
-	w, err := instanceDigestWriter(in)
-	if err != nil {
-		return Digest{}, err
-	}
-	w.S("agg")
-	return w.Sum(), nil
+	_, agg, err := InstanceDigests(in)
+	return agg, err
 }

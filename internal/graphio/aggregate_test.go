@@ -191,3 +191,30 @@ func TestAggDigestTag(t *testing.T) {
 		t.Fatal("nil-graph instance digested")
 	}
 }
+
+// TestInstanceDigestsOnePass pins the one-pass digest pair against the
+// two digests computed separately: the broadcast digest, and the "agg"
+// tag appended to a fresh stream that was never finalized before it.
+func TestInstanceDigestsOnePass(t *testing.T) {
+	for _, in := range []core.Instance{figureInstance(), channelizedInstance(4)} {
+		base, agg, err := InstanceDigests(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBase, err := InstanceDigest(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := instanceDigestWriter(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.S("agg")
+		if base != wantBase || agg != w.Sum() {
+			t.Fatalf("one-pass digests (%s, %s) differ from separate ones (%s, %s)", base, agg, wantBase, w.Sum())
+		}
+	}
+	if _, _, err := InstanceDigests(core.Instance{}); err == nil {
+		t.Fatal("nil-graph instance digested")
+	}
+}

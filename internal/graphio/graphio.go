@@ -109,10 +109,12 @@ func DecodeDeployment(data []byte) (*topology.Deployment, error) {
 	}, nil
 }
 
-// scheduleJSON is the stored form of a core.Schedule. Channel is emitted
-// only when some advance uses a channel other than 0, so single-channel
-// schedules encode byte-identically to the pre-multi-channel format.
-type scheduleJSON struct {
+// ScheduleWire is the wire form of a core.Schedule: EncodeSchedule is its
+// indented JSON, and the plan service embeds it in HTTP responses. Channel
+// is emitted only when some advance uses a channel other than 0, so
+// single-channel schedules encode byte-identically to the pre-multi-channel
+// format.
+type ScheduleWire struct {
 	Version int              `json:"version"`
 	Source  graph.NodeID     `json:"source"`
 	Start   int              `json:"start"`
@@ -126,9 +128,9 @@ type scheduleJSON struct {
 // Schedule.Validate enforces the instance's real channel count later.
 const maxWireChannel = core.MaxChannels
 
-// toScheduleJSON projects a schedule onto its stored form.
-func toScheduleJSON(s *core.Schedule) scheduleJSON {
-	out := scheduleJSON{Version: currentVersion, Source: s.Source, Start: s.Start}
+// toScheduleWire projects a non-nil schedule onto its wire form.
+func toScheduleWire(s *core.Schedule) ScheduleWire {
+	out := ScheduleWire{Version: currentVersion, Source: s.Source, Start: s.Start}
 	channelized := false
 	for _, adv := range s.Advances {
 		out.T = append(out.T, adv.T)
@@ -146,9 +148,9 @@ func toScheduleJSON(s *core.Schedule) scheduleJSON {
 	return out
 }
 
-// fromScheduleJSON rebuilds a schedule from its stored form, checking the
+// fromScheduleWire rebuilds a schedule from its wire form, checking the
 // array shape and channel bounds.
-func fromScheduleJSON(in scheduleJSON) (*core.Schedule, error) {
+func fromScheduleWire(in ScheduleWire) (*core.Schedule, error) {
 	if len(in.T) != len(in.Senders) || len(in.T) != len(in.Covered) {
 		return nil, fmt.Errorf("graphio: advance arrays of different lengths")
 	}
@@ -174,23 +176,38 @@ func fromScheduleJSON(in scheduleJSON) (*core.Schedule, error) {
 	return s, nil
 }
 
+// NewScheduleWire projects a schedule onto its wire form.
+func NewScheduleWire(s *core.Schedule) (ScheduleWire, error) {
+	if s == nil {
+		return ScheduleWire{}, fmt.Errorf("graphio: nil schedule")
+	}
+	return toScheduleWire(s), nil
+}
+
 // EncodeSchedule serializes a schedule.
 func EncodeSchedule(s *core.Schedule) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("graphio: nil schedule")
+	return marshalWire(NewScheduleWire(s))
+}
+
+// marshalWire is the encoder behind the Encode* functions of the wire
+// forms the plan service embeds: the indented JSON of the projection, or
+// its error.
+func marshalWire[W any](w W, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
-	return json.MarshalIndent(toScheduleJSON(s), "", " ")
+	return json.MarshalIndent(w, "", " ")
 }
 
 // DecodeSchedule rebuilds a schedule; callers should Validate it against
 // their instance before trusting it.
 func DecodeSchedule(data []byte) (*core.Schedule, error) {
-	var in scheduleJSON
+	var in ScheduleWire
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	if in.Version != currentVersion {
 		return nil, fmt.Errorf("graphio: unsupported version %d", in.Version)
 	}
-	return fromScheduleJSON(in)
+	return fromScheduleWire(in)
 }

@@ -334,6 +334,21 @@ func InstanceDigest(in core.Instance) (Digest, error) {
 	return w.Sum(), nil
 }
 
+// InstanceDigests computes both content addresses of an instance from one
+// pass over its canonical encoding: the broadcast digest (InstanceDigest)
+// and the aggregation digest (AggInstanceDigest), which is the same stream
+// plus the "agg" tag. Sum leaves the hash state intact, so the tag is
+// appended after the first Sum and the instance is streamed only once.
+func InstanceDigests(in core.Instance) (broadcast, agg Digest, err error) {
+	w, err := instanceDigestWriter(in)
+	if err != nil {
+		return Digest{}, Digest{}, err
+	}
+	broadcast = w.Sum()
+	w.S("agg")
+	return broadcast, w.Sum(), nil
+}
+
 // instanceDigestWriter streams the canonical instance encoding into a
 // fresh writer and returns it unfinalized, so digest variants (the
 // aggregation workload's "agg" suffix) can append their tag before Sum.
@@ -402,9 +417,11 @@ func instanceDigestWriter(in core.Instance) (*DigestWriter, error) {
 	return w, nil
 }
 
-// resultJSON is the stored form of a core.Result — the schema both
-// `mlb-run -json` and the plan service's HTTP responses emit.
-type resultJSON struct {
+// ResultWire is the wire form of a core.Result — the schema both
+// `mlb-run -json` and the plan service's HTTP responses emit. EncodeResult
+// is its indented JSON; the service embeds the struct itself, so the
+// format is defined here alone.
+type ResultWire struct {
 	Version   int    `json:"version"`
 	Scheduler string `json:"scheduler"`
 	PA        int    `json:"pa"`
@@ -416,15 +433,16 @@ type resultJSON struct {
 	Generation int              `json:"generation,omitempty"`
 	Improved   bool             `json:"improved,omitempty"`
 	Stats      core.SearchStats `json:"stats"`
-	Schedule   scheduleJSON     `json:"schedule"`
+	Schedule   ScheduleWire     `json:"schedule"`
 }
 
-// EncodeResult serializes a scheduler result, schedule included.
-func EncodeResult(res *core.Result) ([]byte, error) {
+// NewResultWire projects a scheduler result, schedule included, onto its
+// wire form.
+func NewResultWire(res *core.Result) (ResultWire, error) {
 	if res == nil || res.Schedule == nil {
-		return nil, fmt.Errorf("graphio: nil result")
+		return ResultWire{}, fmt.Errorf("graphio: nil result")
 	}
-	out := resultJSON{
+	return ResultWire{
 		Version:    currentVersion,
 		Scheduler:  res.Scheduler,
 		PA:         res.PA,
@@ -433,22 +451,26 @@ func EncodeResult(res *core.Result) ([]byte, error) {
 		Generation: res.Generation,
 		Improved:   res.Improved,
 		Stats:      res.Stats,
-		Schedule:   toScheduleJSON(res.Schedule),
-	}
-	return json.MarshalIndent(out, "", " ")
+		Schedule:   toScheduleWire(res.Schedule),
+	}, nil
+}
+
+// EncodeResult serializes a scheduler result, schedule included.
+func EncodeResult(res *core.Result) ([]byte, error) {
+	return marshalWire(NewResultWire(res))
 }
 
 // DecodeResult rebuilds a result from EncodeResult output; Validate the
 // inner schedule against its instance before trusting it.
 func DecodeResult(data []byte) (*core.Result, error) {
-	var st resultJSON
+	var st ResultWire
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	if st.Version != currentVersion {
 		return nil, fmt.Errorf("graphio: unsupported version %d", st.Version)
 	}
-	s, err := fromScheduleJSON(st.Schedule)
+	s, err := fromScheduleWire(st.Schedule)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"mlbs/internal/aggregate"
 	"mlbs/internal/core"
-	"mlbs/internal/graphio"
 	"mlbs/internal/obs"
 )
 
@@ -117,28 +116,23 @@ func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (Aggregat
 	}
 	tr := obs.FromContext(ctx)
 	rs := tr.Root().Child("resolve")
-	in, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		rs.End()
-		return AggregateResponse{}, s.fail(err)
-	}
-	digest, err := graphio.AggInstanceDigest(in)
+	r, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
 		rs.End()
 		return AggregateResponse{}, s.fail(err)
 	}
 	if rs != nil {
-		rs.SetInt("nodes", int64(in.G.N()))
+		rs.SetInt("nodes", int64(r.in.G.N()))
 		rs.SetStr("scheduler", kind)
 	}
 	rs.End()
-	key := digest.String() + "|" + kind
+	key := r.aggDigest + "|" + kind
 
 	s.aggregates.Add(1)
 	cs := tr.Root().Child("cache")
 	res, hit, coalesced, err := cachedCompute(ctx, s.acache, key, req.NoCache,
 		func(ctx context.Context) (*aggregate.Result, error) {
-			return s.dispatchAggregate(ctx, key, in, kind)
+			return s.dispatchAggregate(ctx, key, r.in, kind)
 		})
 	elapsed := time.Since(start)
 	if err != nil {
@@ -149,7 +143,7 @@ func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (Aggregat
 	cs.SetBool("coalesced", coalesced)
 	cs.End()
 	return AggregateResponse{
-		Digest:    digest.String(),
+		Digest:    r.aggDigest,
 		Scheduler: res.Scheduler,
 		Result:    res,
 		CacheHit:  hit,

@@ -27,10 +27,11 @@ func TestAggregateBasic(t *testing.T) {
 	if len(resp.Digest) != 64 {
 		t.Fatalf("digest %q", resp.Digest)
 	}
-	in, err := s.resolve(req.WorkloadRequest)
+	r, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := r.in
 	if err := resp.Result.Schedule.Validate(in); err != nil {
 		t.Fatalf("served aggregation schedule invalid: %v", err)
 	}
@@ -94,11 +95,11 @@ func TestAggregateSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		in, err := s.resolve(req.WorkloadRequest)
+		r, err := s.resolve(req.WorkloadRequest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resp.Result.Schedule.Validate(in); err != nil {
+		if err := resp.Result.Schedule.Validate(r.in); err != nil {
 			t.Fatalf("%s: invalid schedule: %v", tc.name, err)
 		}
 		if resp.Result.LatencySlots <= 0 {

@@ -39,10 +39,11 @@ func TestPlanChannels(t *testing.T) {
 
 	// The channelized plan validates and replays clean against the same
 	// instance the service planned.
-	in, err := svc.resolve(WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: 4}})
+	r, err := svc.resolve(WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := r.in
 	if err := r4.Result.Schedule.Validate(in); err != nil {
 		t.Fatalf("served channelized plan invalid: %v", err)
 	}
@@ -88,11 +89,11 @@ func TestReplanChannels(t *testing.T) {
 		t.Fatal("mutated digest equals base digest")
 	}
 
-	base, err := svc.resolve(WorkloadRequest{Generator: gen})
+	b, err := svc.resolve(WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated, _, err := churn.Apply(base, delta)
+	mutated, _, err := churn.Apply(b.in, delta)
 	if err != nil {
 		t.Fatal(err)
 	}

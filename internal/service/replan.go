@@ -141,14 +141,13 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	if err := req.Delta.Validate(); err != nil {
 		return ReplanResponse{}, s.fail(err)
 	}
-	base, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	if base.G == nil {
+	// Checked before resolve hashes the instance, whose digest would
+	// otherwise fail with a less specific graphio error. Generated bases
+	// always have a graph.
+	if req.Instance != nil && req.Instance.G == nil {
 		return ReplanResponse{}, s.fail(errors.New("service: replan base has no graph"))
 	}
-	baseDigest, err := graphio.InstanceDigest(base)
+	b, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
 		return ReplanResponse{}, s.fail(err)
 	}
@@ -156,7 +155,7 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	if err != nil {
 		return ReplanResponse{}, s.fail(err)
 	}
-	pkey := planKey(baseDigest, sp)
+	pkey := planKey(b.digest, sp)
 	rkey := pkey + "|replan|" + deltaDigest.String()
 	s.replans.Add(1)
 	tr := obs.FromContext(ctx)
@@ -170,12 +169,12 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	var baseHit bool
 	out, hit, coalesced, err := cachedCompute(ctx, s.rcache, rkey, req.NoCache,
 		func(ctx context.Context) (*replanOutcome, error) {
-			basePlan, planHit, _, err := s.planFor(ctx, pkey, base, sp, false, 0)
+			basePlan, planHit, _, err := s.planFor(ctx, pkey, b.in, sp, false, 0)
 			if err != nil {
 				return nil, err
 			}
 			baseHit = planHit
-			return s.dispatchReplan(ctx, rkey, base, sp, &replanJob{basePlan: basePlan.Schedule, delta: req.Delta})
+			return s.dispatchReplan(ctx, rkey, b.in, sp, &replanJob{basePlan: basePlan.Schedule, delta: req.Delta})
 		})
 	if err != nil {
 		cs.End()
@@ -203,11 +202,11 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 			// only: they are valid but possibly suboptimal, and a Plan
 			// request for an exactness-claiming scheduler must never be
 			// answered with one.
-			s.cache.Put(planKeyString(out.digest, sp), out.res)
+			s.cache.Put(planKey(out.digest, sp), out.res)
 		}
 	}
 	return ReplanResponse{
-		BaseDigest:   baseDigest.String(),
+		BaseDigest:   b.digest,
 		Digest:       out.digest,
 		Scheduler:    out.res.Scheduler,
 		Result:       out.res,

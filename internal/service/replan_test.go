@@ -312,3 +312,21 @@ func TestServiceReplanSingleflight(t *testing.T) {
 		t.Fatalf("%d repairs computed, want 1", total)
 	}
 }
+
+// TestReplanNilGraphBase pins the explicit-base guard: an instance without
+// a graph fails with its own error before resolve would try to hash it,
+// and counts as a failed request.
+func TestReplanNilGraphBase(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	_, err := svc.Replan(context.Background(), ReplanRequest{
+		WorkloadRequest: WorkloadRequest{Instance: &core.Instance{}},
+		Delta:           churn.Delta{Events: []churn.Event{{Kind: churn.NodeFail, Node: 1}}},
+	})
+	if err == nil || err.Error() != "service: replan base has no graph" {
+		t.Fatalf("nil-graph base: err = %v", err)
+	}
+	if m := svc.Metrics(); m.Errors != 1 || m.Replans != 0 {
+		t.Fatalf("nil-graph base: errors=%d replans=%d, want 1 and 0", m.Errors, m.Replans)
+	}
+}

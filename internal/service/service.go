@@ -7,10 +7,15 @@
 //
 // Request flow:
 //
-//	Plan → resolve instance → InstanceDigest → cache key (digest|scheduler)
+//	Plan → resolve: instance + digest → cache key (digest|scheduler)
 //	     → hit: return the immutable cached Result
 //	     → miss: singleflight-dispatch one search onto the worker shard
 //	       picked by the key; coalesced callers wait for the leader.
+//
+// resolve hashes an explicit instance on every request, but a generator
+// deployment only once, when it is generated: the deployment cache stores
+// the instance together with its broadcast and "agg"-tagged digests, so a
+// warm generator hit costs two map probes and no pass over the instance.
 //
 // Results handed out by the service are shared and immutable: callers must
 // not modify the schedules they receive.
@@ -550,7 +555,7 @@ func newScheduler(sp spec) core.Scheduler {
 type Service struct {
 	cfg     Config
 	cache   *plancache.Cache[*core.Result]
-	gens    *plancache.Cache[core.Instance]
+	gens    *plancache.Cache[resolved]
 	vcache  *plancache.Cache[*validateOutcome]
 	rcache  *plancache.Cache[*replanOutcome]
 	acache  *plancache.Cache[*aggregate.Result]
@@ -628,7 +633,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:    cfg,
 		cache:  plancache.New[*core.Result](cfg.CacheCapacity, cfg.CacheShards),
-		gens:   plancache.New[core.Instance](cfg.GenCacheCapacity, 4),
+		gens:   plancache.New[resolved](cfg.GenCacheCapacity, 4),
 		vcache: plancache.New[*validateOutcome](cfg.ValidateCacheCapacity, 8),
 		rcache: plancache.New[*replanOutcome](cfg.ReplanCacheCapacity, 8),
 		acache: plancache.New[*aggregate.Result](cfg.AggregateCacheCapacity, 8),
@@ -799,17 +804,35 @@ func (s *Service) fail(err error) error {
 	return err
 }
 
-// resolve materializes the request's instance, serving Generator requests
-// from the deployment cache so repeat generator traffic never re-samples
-// the topology.
-func (s *Service) resolve(req WorkloadRequest) (core.Instance, error) {
+// resolved is a request's instance together with its content addresses,
+// both as hex: digest is the broadcast digest (plan, validate and replan
+// keys), aggDigest the "agg"-tagged one (aggregate keys).
+type resolved struct {
+	in        core.Instance
+	digest    string
+	aggDigest string
+}
+
+// digested hashes in once for both of its digests.
+func digested(in core.Instance) (resolved, error) {
+	d, agg, err := graphio.InstanceDigests(in)
+	if err != nil {
+		return resolved{}, err
+	}
+	return resolved{in: in, digest: d.String(), aggDigest: agg.String()}, nil
+}
+
+// resolve materializes the request's instance and its digests. Generator
+// requests are served from the deployment cache, so repeat generator
+// traffic neither re-samples the topology nor re-hashes it.
+func (s *Service) resolve(req WorkloadRequest) (resolved, error) {
 	switch {
 	case req.Instance != nil && req.Generator != nil:
-		return core.Instance{}, errors.New("service: request sets both Instance and Generator")
+		return resolved{}, errors.New("service: request sets both Instance and Generator")
 	case req.Instance != nil:
-		return *req.Instance, nil
+		return digested(*req.Instance)
 	case req.Generator == nil:
-		return core.Instance{}, errors.New("service: request sets neither Instance nor Generator")
+		return resolved{}, errors.New("service: request sets neither Instance nor Generator")
 	}
 	gen := *req.Generator
 	if gen.Channels == 1 {
@@ -821,8 +844,14 @@ func (s *Service) resolve(req WorkloadRequest) (core.Instance, error) {
 		"|" + strconv.FormatFloat(gen.SINRAlpha, 'g', -1, 64) +
 		"|" + strconv.FormatFloat(gen.SINRBeta, 'g', -1, 64) +
 		"|" + strconv.FormatFloat(gen.SINRNoise, 'g', -1, 64)
-	in, _, _, err := s.gens.GetOrCompute(key, gen.Instance)
-	return in, err
+	r, _, _, err := s.gens.GetOrCompute(key, func() (resolved, error) {
+		in, err := gen.Instance()
+		if err != nil {
+			return resolved{}, err
+		}
+		return digested(in)
+	})
+	return r, err
 }
 
 // dispatchJob queues one job (search or validation) on the worker shard
@@ -857,14 +886,9 @@ func (s *Service) dispatch(ctx context.Context, key string, in core.Instance, sp
 	return r.res, r.err
 }
 
-func planKey(digest graphio.Digest, sp spec) string {
-	return planKeyString(digest.String(), sp)
-}
-
-// planKeyString is planKey for a digest already in hex form — the replan
-// path publishes repaired plans under the mutated instance's digest
-// without re-materializing a graphio.Digest.
-func planKeyString(digest string, sp spec) string {
+// planKey is the plan-cache key of a hex instance digest under a
+// scheduler spec.
+func planKey(digest string, sp spec) string {
 	return digest + "|" + sp.kind + "|" + strconv.Itoa(sp.budget)
 }
 
@@ -920,26 +944,21 @@ func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, erro
 	// nil-receiver no-op, which is what keeps the warm path's alloc pin.
 	tr := obs.FromContext(ctx)
 	rs := tr.Root().Child("resolve")
-	in, err := s.resolve(req)
-	if err != nil {
-		rs.End()
-		return Response{}, s.fail(err)
-	}
-	digest, err := graphio.InstanceDigest(in)
+	r, err := s.resolve(req)
 	if err != nil {
 		rs.End()
 		return Response{}, s.fail(err)
 	}
 	if rs != nil {
-		rs.SetInt("nodes", int64(in.G.N()))
+		rs.SetInt("nodes", int64(r.in.G.N()))
 		rs.SetStr("scheduler", sp.kind)
 	}
 	rs.End()
-	key := planKey(digest, sp)
+	key := planKey(r.digest, sp)
 
 	s.requests.Add(1)
 	cs := tr.Root().Child("cache")
-	res, hit, coalesced, err := s.planFor(ctx, key, in, sp, req.NoCache, req.ImproveBudget)
+	res, hit, coalesced, err := s.planFor(ctx, key, r.in, sp, req.NoCache, req.ImproveBudget)
 	elapsed := time.Since(start)
 	if err != nil {
 		cs.End()
@@ -962,14 +981,14 @@ func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, erro
 				qs.SetInt("budget_ns", int64(req.ImproveBudget))
 				qs.SetInt("queue_depth", int64(len(s.improveJobs)))
 			}
-			s.enqueueImprove(key, in, req.ImproveBudget)
+			s.enqueueImprove(key, r.in, req.ImproveBudget)
 			qs.End()
 		}
 	} else {
 		s.missHist.observe(elapsed)
 	}
 	return Response{
-		Digest:    digest.String(),
+		Digest:    r.digest,
 		Scheduler: res.Scheduler,
 		Result:    res,
 		CacheHit:  hit,

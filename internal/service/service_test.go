@@ -78,8 +78,10 @@ func TestConcurrentSameInstance(t *testing.T) {
 
 // TestWarmHitPathAllocs pins the acceptance criterion that the warm-cache
 // path is search-free and allocation-bounded: a steady-state Plan for a
-// resident instance costs only the digest (one SHA-256) plus the key
-// string and the response — no engine, no frames, no schedule rebuild.
+// resident explicit instance costs only the digest of the instance it was
+// sent (one SHA-256) plus the key string and the response — no engine, no
+// frames, no schedule rebuild. Generator requests do not even hash; see
+// TestWarmGeneratorHitAllocs.
 func TestWarmHitPathAllocs(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
@@ -104,6 +106,44 @@ func TestWarmHitPathAllocs(t *testing.T) {
 	}
 	if allocs > 24 {
 		t.Errorf("warm Plan allocated %.1f objects per call; want ≤ 24", allocs)
+	}
+}
+
+// TestWarmGeneratorHitAllocs pins the generator form of the warm path:
+// the deployment cache holds each deployment already digested, so a warm
+// generator Plan never passes over the instance. Its allocation count is
+// the same at n=100 and n=600 (a per-hit digest would bring back its
+// hasher, its hex string and the pre-covered copy).
+func TestWarmGeneratorHitAllocs(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	ctx := context.Background()
+	var counts []float64
+	for _, n := range []int{100, 600} {
+		req := WorkloadRequest{Generator: &Generator{N: n, Seed: 7}, Budget: 64}
+		if _, err := svc.Plan(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		before := svc.Metrics().Searches
+		allocs := testing.AllocsPerRun(100, func() {
+			resp, err := svc.Plan(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.CacheHit {
+				t.Fatal("warm generator request missed the cache")
+			}
+		})
+		if svc.Metrics().Searches != before {
+			t.Fatal("warm generator requests re-ran the search")
+		}
+		if allocs > 12 {
+			t.Errorf("n=%d: warm generator Plan allocated %.1f objects per call; want ≤ 12", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("warm generator Plan allocations grow with n: %.1f at n=100, %.1f at n=600", counts[0], counts[1])
 	}
 }
 
@@ -170,10 +210,11 @@ func TestGeneratorRequests(t *testing.T) {
 	// The generated instance must match what a caller building it by hand
 	// gets (mlb-run convention: wake seed = seed^0xA5, start at the
 	// source's first wake slot).
-	in, err := svc.resolve(WorkloadRequest{Generator: gen})
+	r, err := svc.resolve(WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := r.in
 	if in.Wake.Rate() != 10 {
 		t.Errorf("generated wake rate %d", in.Wake.Rate())
 	}

@@ -32,10 +32,11 @@ func TestPlanGeneratorSINR(t *testing.T) {
 		t.Fatalf("SINR request shares digest %s with the protocol-model request", sinrResp.Digest)
 	}
 
-	in, err := svc.resolve(sinrReq)
+	r, err := svc.resolve(sinrReq)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := r.in
 	if in.SINR == nil || in.SINR.Alpha != 3 || in.SINR.Beta != 2 {
 		t.Fatalf("resolved instance lost SINR params: %+v", in.SINR)
 	}

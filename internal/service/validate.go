@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mlbs/internal/core"
-	"mlbs/internal/graphio"
 	"mlbs/internal/obs"
 	"mlbs/internal/reliability"
 )
@@ -118,15 +117,11 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 		// values must not fragment the cache over identical work.
 		maxExtra = 0
 	}
-	in, err := s.resolve(req.WorkloadRequest)
+	r, err := s.resolve(req.WorkloadRequest)
 	if err != nil {
 		return ValidateResponse{}, s.fail(err)
 	}
-	digest, err := graphio.InstanceDigest(in)
-	if err != nil {
-		return ValidateResponse{}, s.fail(err)
-	}
-	pkey := planKey(digest, sp)
+	pkey := planKey(r.digest, sp)
 	s.validations.Add(1)
 
 	// The schedule itself always goes through the plan cache: re-running
@@ -134,7 +129,7 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	// worker.
 	tr := obs.FromContext(ctx)
 	ps := tr.Root().Child("cache")
-	res, planHit, _, err := s.planFor(ctx, pkey, in, sp, false, 0)
+	res, planHit, _, err := s.planFor(ctx, pkey, r.in, sp, false, 0)
 	if err != nil {
 		ps.End()
 		return ValidateResponse{}, s.fail(err)
@@ -153,7 +148,7 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	}
 	out, hit, coalesced, err := cachedCompute(ctx, s.vcache, vkey, req.NoCache,
 		func(ctx context.Context) (*validateOutcome, error) {
-			return s.dispatchValidate(ctx, vkey, in, sp, vj)
+			return s.dispatchValidate(ctx, vkey, r.in, sp, vj)
 		})
 	if err != nil {
 		vs.End()
@@ -168,7 +163,7 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 	}
 	vs.End()
 	return ValidateResponse{
-		Digest:       digest.String(),
+		Digest:       r.digest,
 		Scheduler:    res.Scheduler,
 		Report:       out.report,
 		Repair:       out.repair,

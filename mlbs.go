@@ -125,6 +125,13 @@ type (
 	SearchEngine = core.Engine
 	// Digest is the content address of a broadcast instance.
 	Digest = graphio.Digest
+	// ResultWire, ScheduleWire, ReliabilityReportWire and AggResultWire
+	// are the wire forms the matching Encode* functions marshal and the
+	// plan service's HTTP responses embed.
+	ResultWire            = graphio.ResultWire
+	ScheduleWire          = graphio.ScheduleWire
+	ReliabilityReportWire = graphio.ReliabilityReportWire
+	AggResultWire         = graphio.AggResultWire
 	// PlanService serves broadcast plans concurrently behind a
 	// content-addressed cache (DESIGN.md §9).
 	PlanService = service.Service
@@ -542,6 +549,10 @@ func EncodeSchedule(s *Schedule) ([]byte, error) { return graphio.EncodeSchedule
 // before trusting it.
 func DecodeSchedule(data []byte) (*Schedule, error) { return graphio.DecodeSchedule(data) }
 
+// NewScheduleWire projects a schedule onto the wire form EncodeSchedule
+// marshals.
+func NewScheduleWire(s *Schedule) (ScheduleWire, error) { return graphio.NewScheduleWire(s) }
+
 // EncodeInstance serializes a broadcast instance (graph, source, start,
 // wake schedule) for shipping to the plan service or archival.
 func EncodeInstance(in Instance) ([]byte, error) { return graphio.EncodeInstance(in) }
@@ -563,6 +574,10 @@ func EncodeResult(res *Result) ([]byte, error) { return graphio.EncodeResult(res
 // DecodeResult rebuilds a result; Validate the inner schedule against its
 // instance before trusting it.
 func DecodeResult(data []byte) (*Result, error) { return graphio.DecodeResult(data) }
+
+// NewResultWire projects a result onto the wire form EncodeResult
+// marshals.
+func NewResultWire(res *Result) (ResultWire, error) { return graphio.NewResultWire(res) }
 
 // NewReusableGOPT returns a G-OPT engine whose arenas (scratch frames,
 // memo storage, bitset pool) are recycled across Schedule calls — the
@@ -672,6 +687,12 @@ func DecodeReliabilityReport(data []byte) (*ReliabilityReport, error) {
 	return graphio.DecodeReliabilityReport(data)
 }
 
+// NewReliabilityReportWire projects a reliability report onto the wire
+// form EncodeReliabilityReport marshals.
+func NewReliabilityReportWire(rep *ReliabilityReport) (ReliabilityReportWire, error) {
+	return graphio.NewReliabilityReportWire(rep)
+}
+
 // ApplyChurn applies a topology delta to a unit-disk instance, returning
 // the mutated instance and the base→mutated node mapping (DESIGN.md §11).
 func ApplyChurn(base Instance, d ChurnDelta) (Instance, ChurnMapping, error) {
@@ -735,6 +756,10 @@ func EncodeAggResult(res *AggResult) ([]byte, error) { return graphio.EncodeAggR
 // DecodeAggResult rebuilds an aggregation result from EncodeAggResult
 // output.
 func DecodeAggResult(data []byte) (*AggResult, error) { return graphio.DecodeAggResult(data) }
+
+// NewAggResultWire projects an aggregation result onto the wire form
+// EncodeAggResult marshals.
+func NewAggResultWire(res *AggResult) (AggResultWire, error) { return graphio.NewAggResultWire(res) }
 
 // EncodeChurnTrace serializes a churn trace.
 func EncodeChurnTrace(tr *ChurnTrace) ([]byte, error) { return churn.EncodeTrace(tr) }
