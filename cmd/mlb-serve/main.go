@@ -22,10 +22,11 @@
 //	GET  /debug/traces/{digest}  one retained trace as a span tree
 //	/debug/pprof/      runtime profiles
 //
-// Every POST endpoint above (except /v1/sweep) runs under an always-on
-// request trace: the span tree — cache, search, improve, repair phases
-// with search-internal counters — lands in a bounded in-memory flight
-// recorder served by /debug/traces (DESIGN.md §15).
+// Every POST endpoint above runs under an always-on request trace: the
+// span tree — resolve, cache, search, improve, repair phases with
+// search-internal counters — lands in a bounded in-memory flight recorder
+// served by /debug/traces (DESIGN.md §15). A sweep's trace keeps its root
+// span only, so its size does not grow with the number of cells.
 //
 // A generator-form request and its response:
 //
@@ -190,31 +191,48 @@ type serveObs struct {
 	lat map[string]*mlbs.LatencyHistogram
 }
 
-// tracedEndpoints are the POST endpoints that run under a request trace,
-// in the order /metrics emits their latency series.
-var tracedEndpoints = []string{"/v1/plan", "/v1/aggregate", "/v1/validate", "/v1/replan"}
+// handler serves one /v1 request. It writes the response and returns the
+// request's digest (empty if it never got that far) and terminal error
+// for the trace.
+type handler func(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error)
+
+// route is one POST /v1 endpoint.
+type route struct {
+	path   string
+	handle handler
+}
+
+// routes is the /v1 surface. Every row runs under a request trace, and
+// /metrics emits the endpoints' latency series in this order.
+var routes = []route{
+	{"/v1/plan", workload(servePlan)},
+	{"/v1/aggregate", workload(serveAggregate)},
+	{"/v1/validate", workload(serveValidate)},
+	{"/v1/replan", workload(serveReplan)},
+	{"/v1/sweep", handleSweep},
+}
 
 func newServeObs(recentN, slowestN int) *serveObs {
 	o := &serveObs{
 		rec: mlbs.NewTraceRecorder(recentN, slowestN),
-		lat: make(map[string]*mlbs.LatencyHistogram, len(tracedEndpoints)),
+		lat: make(map[string]*mlbs.LatencyHistogram, len(routes)),
 	}
-	for _, ep := range tracedEndpoints {
-		o.lat[ep] = mlbs.NewLatencyHistogram(nil)
+	for _, rt := range routes {
+		o.lat[rt.path] = mlbs.NewLatencyHistogram(nil)
 	}
 	return o
 }
 
-// traced wraps one handler with per-request span tracing: a fresh trace
-// rides the request context into the service (which annotates its cache,
-// search, improve and repair phases), and the finished snapshot lands in
-// the flight recorder plus the endpoint's latency histogram. The handler
-// returns the request's digest (empty if it never got that far) and the
-// terminal error, both recorded on the trace.
-func (o *serveObs) traced(endpoint string, h func(w http.ResponseWriter, r *http.Request) (string, error)) http.HandlerFunc {
+// traced serves one route with per-request span tracing: a fresh trace
+// rides the request context into the service (which annotates its
+// resolve, cache, search, improve and repair phases), and the finished
+// snapshot — with the digest and terminal error the route's handler
+// returns — lands in the flight recorder plus the route's latency
+// histogram.
+func (o *serveObs) traced(svc *mlbs.PlanService, rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := mlbs.NewTrace(endpoint)
-		digest, err := h(w, r.WithContext(mlbs.TraceContext(r.Context(), tr)))
+		tr := mlbs.NewTrace(rt.path)
+		digest, err := rt.handle(svc, w, r.WithContext(mlbs.TraceContext(r.Context(), tr)))
 		msg := ""
 		if err != nil {
 			msg = err.Error()
@@ -222,7 +240,7 @@ func (o *serveObs) traced(endpoint string, h func(w http.ResponseWriter, r *http
 		snap := tr.Finish(digest, msg)
 		o.rec.Record(snap)
 		if snap != nil {
-			o.lat[endpoint].Observe(time.Duration(snap.DurationNs))
+			o.lat[rt.path].Observe(time.Duration(snap.DurationNs))
 		}
 	}
 }
@@ -255,15 +273,9 @@ func handleTraceByDigest(o *serveObs, w http.ResponseWriter, digest string) {
 
 func newMux(svc *mlbs.PlanService, obsv *serveObs) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", obsv.traced("/v1/plan",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handlePlan(svc, w, r) }))
-	mux.HandleFunc("POST /v1/aggregate", obsv.traced("/v1/aggregate",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleAggregate(svc, w, r) }))
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) { handleSweep(svc, w, r) })
-	mux.HandleFunc("POST /v1/validate", obsv.traced("/v1/validate",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleValidate(svc, w, r) }))
-	mux.HandleFunc("POST /v1/replan", obsv.traced("/v1/replan",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleReplan(svc, w, r) }))
+	for _, rt := range routes {
+		mux.HandleFunc("POST "+rt.path, obsv.traced(svc, rt))
+	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -280,9 +292,9 @@ func newMux(svc *mlbs.PlanService, obsv *serveObs) *http.ServeMux {
 	return mux
 }
 
-// baseSelection is the instance-selecting field set every endpoint
-// shares: either the paper generator's parameters or an inline graphio
-// instance encoding.
+// baseSelection is the field set every workload request shares: the
+// instance — the paper generator's parameters or an inline graphio
+// instance encoding — plus the scheduler and the caching discipline.
 type baseSelection struct {
 	N        int    `json:"n,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
@@ -295,31 +307,88 @@ type baseSelection struct {
 	SINRBeta  float64         `json:"sinr_beta,omitempty"`
 	SINRNoise float64         `json:"sinr_noise,omitempty"`
 	Instance  json.RawMessage `json:"instance,omitempty"`
+	Scheduler string          `json:"scheduler,omitempty"`
+	Budget    int             `json:"budget,omitempty"`
+	NoCache   bool            `json:"no_cache,omitempty"`
 }
 
-// resolve projects the selection onto the service's request form: a
-// decoded instance when one was shipped inline, the generator parameters
-// otherwise. The decoded instance (if any) is returned for handlers that
-// need it locally (replay).
-func (b baseSelection) resolve() (*mlbs.Instance, *mlbs.PlanGenerator, error) {
-	if len(b.Instance) > 0 {
-		in, err := mlbs.DecodeInstance(b.Instance)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &in, nil, nil
+// request builds the service's request envelope: a decoded instance when
+// one was shipped inline, the generator parameters otherwise.
+func (b *baseSelection) request() (mlbs.WorkloadRequest, error) {
+	req := mlbs.WorkloadRequest{Scheduler: b.Scheduler, Budget: b.Budget, NoCache: b.NoCache}
+	if len(b.Instance) == 0 {
+		req.Generator = &mlbs.PlanGenerator{N: b.N, Seed: b.Seed, DutyRate: b.R, WakeSeed: b.WakeSeed, Channels: b.Channels,
+			SINRAlpha: b.SINRAlpha, SINRBeta: b.SINRBeta, SINRNoise: b.SINRNoise}
+		return req, nil
 	}
-	return nil, &mlbs.PlanGenerator{N: b.N, Seed: b.Seed, DutyRate: b.R, WakeSeed: b.WakeSeed, Channels: b.Channels,
-		SINRAlpha: b.SINRAlpha, SINRBeta: b.SINRBeta, SINRNoise: b.SINRNoise}, nil
+	in, err := mlbs.DecodeInstance(b.Instance)
+	if err != nil {
+		return req, err
+	}
+	req.Instance = &in
+	return req, nil
+}
+
+// workloadBody constrains the adapter's decoded request: a pointer to a
+// request type that builds its service envelope (through the embedded
+// baseSelection).
+type workloadBody[Q any] interface {
+	*Q
+	request() (mlbs.WorkloadRequest, error)
+}
+
+// internalError marks a failure after the service answered — projecting
+// or replaying its result — as the server's fault rather than the
+// request's.
+type internalError struct{ error }
+
+// workload is the one HTTP adapter every /v1 workload shares: decode the
+// body into a Q, build its WorkloadRequest, then let run call the service
+// and render the reply body. Decode and build failures are 400
+// bad_request, service failures 400 or their typed code, and failures run
+// marks as internalError 500.
+func workload[Q any, PQ workloadBody[Q]](
+	run func(ctx context.Context, svc *mlbs.PlanService, q PQ, req mlbs.WorkloadRequest) (digest string, body any, err error),
+) handler {
+	return func(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
+		q := PQ(new(Q))
+		var (
+			req    mlbs.WorkloadRequest
+			digest string
+			body   any
+		)
+		err := decodeBody(r, q)
+		if err == nil {
+			req, err = q.request()
+		}
+		if err == nil {
+			digest, body, err = run(r.Context(), svc, q, req)
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return digest, err
+		}
+		writeJSON(w, http.StatusOK, body)
+		return digest, nil
+	}
+}
+
+// decodeBody reads a size-limited request body into v.
+func decodeBody(r *http.Request, v any) error {
+	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }
 
 // planHTTPRequest is the wire form of a plan request.
 type planHTTPRequest struct {
 	baseSelection
-	Scheduler string `json:"scheduler,omitempty"`
-	Budget    int    `json:"budget,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
-	Replay    bool   `json:"replay,omitempty"`
+	Replay bool `json:"replay,omitempty"`
 	// ImproveBudgetMs buys anytime improvement: spent synchronously on a
 	// cold miss, or as a background upgrade re-published under the same
 	// digest on a warm hit. 0 keeps the pre-improver path bit-identical.
@@ -343,52 +412,15 @@ type planHTTPResponse struct {
 	Report     *mlbs.Report    `json:"report,omitempty"`
 }
 
-// decodeBody reads a size-limited request body into v, reporting a 400 on
-// failure. A non-nil return means the handler should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+func servePlan(ctx context.Context, svc *mlbs.PlanService, q *planHTTPRequest, req mlbs.WorkloadRequest) (string, any, error) {
+	req.ImproveBudget = time.Duration(q.ImproveBudgetMs) * time.Millisecond
+	resp, err := svc.Plan(ctx, req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		err = fmt.Errorf("bad request body: %w", err)
-		httpError(w, http.StatusBadRequest, err)
-		return err
-	}
-	return nil
-}
-
-// Handlers return the request's digest and terminal error for the trace
-// middleware; the HTTP response itself is already written by the time
-// they return.
-func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr planHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.PlanRequest{
-		Scheduler:     hr.Scheduler,
-		Budget:        hr.Budget,
-		NoCache:       hr.NoCache,
-		ImproveBudget: time.Duration(hr.ImproveBudgetMs) * time.Millisecond,
-	}
-	inst, gen, err := hr.resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Plan(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return "", nil, err
 	}
 	resWire, err := mlbs.NewResultWire(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return resp.Digest, nil, internalError{err}
 	}
 	out := planHTTPResponse{
 		Digest:     resp.Digest,
@@ -401,35 +433,22 @@ func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (
 		Improved:   resp.Result.Improved,
 		Result:     resWire,
 	}
-	if hr.Replay {
-		if inst == nil {
+	if q.Replay {
+		in := req.Instance
+		if in == nil {
 			// Generator form: rebuild the instance the service planned
 			// (deterministic from the same parameters).
-			in, err := gen.Instance()
+			gen, err := req.Generator.Instance()
 			if err != nil {
-				httpError(w, http.StatusInternalServerError, err)
-				return resp.Digest, err
+				return resp.Digest, nil, internalError{err}
 			}
-			inst = &in
+			in = &gen
 		}
-		rep, err := mlbs.Replay(*inst, resp.Result.Schedule)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
+		if out.Report, err = mlbs.Replay(*in, resp.Result.Schedule); err != nil {
+			return resp.Digest, nil, internalError{err}
 		}
-		out.Report = rep
 	}
-	writeJSON(w, http.StatusOK, out)
-	return resp.Digest, nil
-}
-
-// aggregateHTTPRequest is the wire form of a convergecast (aggregation)
-// request: the same base-instance selection as /v1/plan, with the
-// aggregation tree policy in scheduler ("agg-spt" default, "agg-bounded").
-type aggregateHTTPRequest struct {
-	baseSelection
-	Scheduler string `json:"scheduler,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
+	return resp.Digest, out, nil
 }
 
 type aggregateHTTPResponse struct {
@@ -444,33 +463,19 @@ type aggregateHTTPResponse struct {
 	Result       mlbs.AggResultWire `json:"result"`
 }
 
-func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr aggregateHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.AggregateRequest{WorkloadRequest: mlbs.WorkloadRequest{
-		Scheduler: hr.Scheduler,
-		NoCache:   hr.NoCache,
-	}}
-	inst, gen, err := hr.resolve()
+// serveAggregate answers a convergecast request: the base selection alone,
+// with the aggregation tree policy in scheduler ("agg-spt" default,
+// "agg-bounded").
+func serveAggregate(ctx context.Context, svc *mlbs.PlanService, _ *baseSelection, req mlbs.WorkloadRequest) (string, any, error) {
+	resp, err := svc.Aggregate(ctx, mlbs.AggregateRequest{WorkloadRequest: req})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Aggregate(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return "", nil, err
 	}
 	resWire, err := mlbs.NewAggResultWire(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return resp.Digest, nil, internalError{err}
 	}
-	writeJSON(w, http.StatusOK, aggregateHTTPResponse{
+	return resp.Digest, aggregateHTTPResponse{
 		Digest:       resp.Digest,
 		Scheduler:    resp.Scheduler,
 		CacheHit:     resp.CacheHit,
@@ -478,23 +483,19 @@ func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reque
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
 		LatencySlots: resp.Result.LatencySlots,
 		Result:       resWire,
-	})
-	return resp.Digest, nil
+	}, nil
 }
 
 // validateHTTPRequest is the wire form of a reliability validation: the
 // plan selection plus the loss model and Monte-Carlo parameters.
 type validateHTTPRequest struct {
 	baseSelection
-	Scheduler     string  `json:"scheduler,omitempty"`
-	Budget        int     `json:"budget,omitempty"`
 	LossKind      string  `json:"loss_kind,omitempty"`
 	LossRate      float64 `json:"loss_rate"`
 	LossSeed      uint64  `json:"loss_seed,omitempty"`
 	Trials        int     `json:"trials,omitempty"`
 	Target        float64 `json:"target,omitempty"`
 	MaxExtraSlots int     `json:"max_extra_slots,omitempty"`
-	NoCache       bool    `json:"no_cache,omitempty"`
 }
 
 type validateHTTPResponse struct {
@@ -520,34 +521,16 @@ type repairHTTP struct {
 	Schedule        mlbs.ScheduleWire          `json:"schedule"`
 }
 
-func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr validateHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.ValidateRequest{
-		WorkloadRequest: mlbs.WorkloadRequest{Scheduler: hr.Scheduler, Budget: hr.Budget, NoCache: hr.NoCache},
-		Loss:            mlbs.ReliabilityLossModel{Kind: hr.LossKind, Rate: hr.LossRate, Seed: hr.LossSeed},
-		Trials:          hr.Trials,
-		Target:          hr.Target,
-		MaxExtraSlots:   hr.MaxExtraSlots,
-	}
-	inst, gen, err := hr.resolve()
+func serveValidate(ctx context.Context, svc *mlbs.PlanService, q *validateHTTPRequest, req mlbs.WorkloadRequest) (string, any, error) {
+	resp, err := svc.Validate(ctx, mlbs.ValidateRequest{
+		WorkloadRequest: req,
+		Loss:            mlbs.ReliabilityLossModel{Kind: q.LossKind, Rate: q.LossRate, Seed: q.LossSeed},
+		Trials:          q.Trials,
+		Target:          q.Target,
+		MaxExtraSlots:   q.MaxExtraSlots,
+	})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Validate(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	repWire, err := mlbs.NewReliabilityReportWire(resp.Report)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return "", nil, err
 	}
 	out := validateHTTPResponse{
 		Digest:       resp.Digest,
@@ -556,19 +539,11 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 		Coalesced:    resp.Coalesced,
 		PlanCacheHit: resp.PlanCacheHit,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
-		Report:       repWire,
+	}
+	if out.Report, err = mlbs.NewReliabilityReportWire(resp.Report); err != nil {
+		return resp.Digest, nil, internalError{err}
 	}
 	if rr := resp.Repair; rr != nil {
-		beforeWire, err := mlbs.NewReliabilityReportWire(rr.Before)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
-		}
-		schedWire, err := mlbs.NewScheduleWire(rr.Schedule)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
-		}
 		out.Repair = &repairHTTP{
 			Target:          rr.Target,
 			TargetMet:       rr.TargetMet,
@@ -577,22 +552,36 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 			AddedSlots:      rr.AddedSlots,
 			BaseLatency:     rr.BaseLatency,
 			RepairedLatency: rr.RepairedLatency,
-			Before:          beforeWire,
-			Schedule:        schedWire,
+		}
+		if out.Repair.Before, err = mlbs.NewReliabilityReportWire(rr.Before); err != nil {
+			return resp.Digest, nil, internalError{err}
+		}
+		if out.Repair.Schedule, err = mlbs.NewScheduleWire(rr.Schedule); err != nil {
+			return resp.Digest, nil, internalError{err}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
-	return resp.Digest, nil
+	return resp.Digest, out, nil
 }
 
 // replanHTTPRequest is the wire form of a churn repair: the base-instance
 // selection plus the delta in its EncodeChurnDelta schema.
 type replanHTTPRequest struct {
 	baseSelection
-	Delta     json.RawMessage `json:"delta"`
-	Scheduler string          `json:"scheduler,omitempty"`
-	Budget    int             `json:"budget,omitempty"`
-	NoCache   bool            `json:"no_cache,omitempty"`
+	Delta json.RawMessage `json:"delta"`
+	delta mlbs.ChurnDelta
+}
+
+// request decodes the delta before the base selection, so a request
+// without one fails on that first.
+func (q *replanHTTPRequest) request() (mlbs.WorkloadRequest, error) {
+	if len(q.Delta) == 0 {
+		return mlbs.WorkloadRequest{}, errors.New("replan request needs a delta")
+	}
+	var err error
+	if q.delta, err = mlbs.DecodeChurnDelta(q.Delta); err != nil {
+		return mlbs.WorkloadRequest{}, err
+	}
+	return q.baseSelection.request()
 }
 
 type replanHTTPResponse struct {
@@ -609,40 +598,16 @@ type replanHTTPResponse struct {
 	Result       mlbs.ResultWire `json:"result"`
 }
 
-func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr replanHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	if len(hr.Delta) == 0 {
-		err := fmt.Errorf("replan request needs a delta")
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	delta, err := mlbs.DecodeChurnDelta(hr.Delta)
+func serveReplan(ctx context.Context, svc *mlbs.PlanService, q *replanHTTPRequest, req mlbs.WorkloadRequest) (string, any, error) {
+	resp, err := svc.Replan(ctx, mlbs.ReplanRequest{WorkloadRequest: req, Delta: q.delta})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req := mlbs.ReplanRequest{WorkloadRequest: mlbs.WorkloadRequest{Scheduler: hr.Scheduler, Budget: hr.Budget, NoCache: hr.NoCache}, Delta: delta}
-	inst, gen, err := hr.resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Replan(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return "", nil, err
 	}
 	resWire, err := mlbs.NewResultWire(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return resp.Digest, nil, internalError{err}
 	}
-	writeJSON(w, http.StatusOK, replanHTTPResponse{
+	return resp.Digest, replanHTTPResponse{
 		BaseDigest:   resp.BaseDigest,
 		Digest:       resp.Digest,
 		Scheduler:    resp.Scheduler,
@@ -654,20 +619,29 @@ func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request)
 		Coalesced:    resp.Coalesced,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
 		Result:       resWire,
-	})
-	return resp.Digest, nil
+	}, nil
 }
 
-func handleSweep(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) {
+// handleSweep streams one NDJSON item per sweep cell. A request-level
+// failure — a malformed body, no sizes, an unknown scheduler — fails
+// before the first item and gets the error envelope; a failing cell is an
+// item of its own, and a failure once items flow ends the stream with an
+// error line.
+func handleSweep(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
 	var req mlbs.SweepRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		err = fmt.Errorf("bad request body: %w", err)
+		httpError(w, http.StatusBadRequest, err)
+		return "", err
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	err := svc.Sweep(r.Context(), req, func(it mlbs.SweepItem) error {
+	streaming := false
+	// The cells run untraced, so the sweep's trace holds its root span
+	// only, however many cells the sweep has.
+	err := svc.Sweep(mlbs.TraceContext(r.Context(), nil), req, func(it mlbs.SweepItem) error {
+		streaming = true
 		if err := enc.Encode(it); err != nil {
 			return err
 		}
@@ -676,10 +650,13 @@ func handleSweep(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) 
 		}
 		return nil
 	})
-	if err != nil {
-		// Headers are gone; best effort is a terminal NDJSON error line.
+	switch {
+	case err != nil && !streaming:
+		httpError(w, http.StatusBadRequest, err)
+	case err != nil:
 		_ = enc.Encode(mlbs.SweepItem{Err: err.Error()})
 	}
+	return "", err
 }
 
 func handleMetrics(svc *mlbs.PlanService, obsv *serveObs, w http.ResponseWriter) {
@@ -734,9 +711,9 @@ func handleMetrics(svc *mlbs.PlanService, obsv *serveObs, w http.ResponseWriter)
 		"Latency distribution of plan requests that ran a search.", "", m.MissLatency)
 	fmt.Fprintf(w, "# HELP mlbs_http_request_duration_seconds End-to-end request latency by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE mlbs_http_request_duration_seconds histogram\n")
-	for _, ep := range tracedEndpoints {
+	for _, rt := range routes {
 		mlbs.WritePromHistogramSeries(w, "mlbs_http_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", ep), obsv.lat[ep].Snapshot())
+			fmt.Sprintf("endpoint=%q", rt.path), obsv.lat[rt.path].Snapshot())
 	}
 	writeRuntimeMetrics(w)
 }
@@ -773,12 +750,15 @@ type errorDetail struct {
 }
 
 // httpError writes the error envelope. Typed failures override the
-// caller's status: a churn delta the broadcast cannot survive is a
-// semantic failure (422) with its own code, not a malformed request, and
-// a closing service is 503 so load balancers retry elsewhere.
+// caller's status: a failure after the service answered is the server's
+// (500), a churn delta the broadcast cannot survive is a semantic failure
+// (422) with its own code, not a malformed request, and a closing service
+// is 503 so load balancers retry elsewhere.
 func httpError(w http.ResponseWriter, status int, err error) {
 	var code string
 	switch {
+	case errors.As(err, new(internalError)):
+		status, code = http.StatusInternalServerError, "internal"
 	case errors.Is(err, mlbs.ErrChurnSourceFailed):
 		status, code = http.StatusUnprocessableEntity, "source_failed"
 	case errors.Is(err, mlbs.ErrChurnDisconnected):

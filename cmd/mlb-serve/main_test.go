@@ -520,3 +520,93 @@ func TestErrorEnvelopeTypedCodes(t *testing.T) {
 		t.Fatalf("closed service got status %d code %q", r2.StatusCode, eb2.Error.Code)
 	}
 }
+
+// TestSweepEndpoint pins /v1/sweep's two halves: a request-level mistake
+// (no sizes, an unknown scheduler) is a 400 in the shared error envelope
+// before anything streams, a good sweep streams one NDJSON line per cell,
+// and both run under the trace middleware, so /metrics carries the
+// endpoint's latency series.
+func TestSweepEndpoint(t *testing.T) {
+	svc := mlbs.NewService(mlbs.ServiceConfig{Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(newMux(svc, newServeObs(0, 0)))
+	defer ts.Close()
+
+	for _, bad := range []string{`{}`, `{"sizes":[60],"scheduler":"nosuch"}`} {
+		r, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		decodeErr := json.NewDecoder(r.Body).Decode(&eb)
+		r.Body.Close()
+		if decodeErr != nil {
+			t.Fatalf("sweep %s: error body does not decode: %v", bad, decodeErr)
+		}
+		if r.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" ||
+			r.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("sweep %s: status %d code %q type %q", bad, r.StatusCode, eb.Error.Code, r.Header.Get("Content-Type"))
+		}
+	}
+
+	r, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(`{"sizes":[60],"seeds":[1,2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusOK || r.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("sweep: status %d type %q", r.StatusCode, r.Header.Get("Content-Type"))
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("sweep streamed %d lines, want 2:\n%s", len(lines), body)
+	}
+	for _, line := range lines {
+		var it mlbs.SweepItem
+		if err := json.Unmarshal([]byte(line), &it); err != nil || it.Err != "" || len(it.Digest) != 64 {
+			t.Fatalf("sweep item %s: %+v %v", line, it, err)
+		}
+	}
+
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `mlbs_http_request_duration_seconds_bucket{endpoint="/v1/sweep",le="+Inf"} 3`; !strings.Contains(string(mb), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, mb)
+	}
+}
+
+// TestHTTPErrorInternal pins the adapter's split of blame: a failure
+// marked internalError (projecting or replaying a result the service
+// returned) is a 500 "internal", while an unmarked one keeps the status
+// the adapter suggests.
+func TestHTTPErrorInternal(t *testing.T) {
+	for _, c := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{internalError{fmt.Errorf("replay: boom")}, http.StatusInternalServerError, "internal"},
+		{fmt.Errorf("service: bad"), http.StatusBadRequest, "bad_request"},
+	} {
+		rec := httptest.NewRecorder()
+		httpError(rec, http.StatusBadRequest, c.err)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != c.status || eb.Error.Code != c.code || eb.Error.Message != c.err.Error() {
+			t.Errorf("%v: status %d code %q message %q", c.err, rec.Code, eb.Error.Code, eb.Error.Message)
+		}
+	}
+}

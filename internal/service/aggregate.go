@@ -36,11 +36,6 @@ type AggregateResponse struct {
 	Elapsed   time.Duration
 }
 
-// aggJob carries one convergecast scheduling run onto a worker.
-type aggJob struct {
-	kind string // resolved scheduler name: agg-spt | agg-bounded
-}
-
 // parseAggSpec normalizes the aggregation scheduler selection.
 func parseAggSpec(name string) (string, error) {
 	switch name {
@@ -68,12 +63,12 @@ func (w *worker) aggScheduler(kind string) *aggregate.Scheduler {
 	return sched
 }
 
-// execAggregate runs one convergecast scheduling job on the worker's
-// reusable scheduler.
-func (w *worker) execAggregate(s *Service, jb job) (*aggregate.Result, error) {
-	span := jb.tr.Root().Child("agg_search")
+// aggregate runs one convergecast scheduling job on the worker's
+// reusable scheduler for kind.
+func (w *worker) aggregate(s *Service, tr *obs.Trace, in core.Instance, kind string) (*aggregate.Result, error) {
+	span := tr.Root().Child("agg_search")
 	defer span.End()
-	res, err := w.aggScheduler(jb.agg.kind).Schedule(jb.in)
+	res, err := w.aggScheduler(kind).Schedule(in)
 	if err != nil {
 		return nil, err
 	}
@@ -86,68 +81,40 @@ func (w *worker) execAggregate(s *Service, jb job) (*aggregate.Result, error) {
 	return res, nil
 }
 
-// dispatchAggregate queues one convergecast run on the worker shard owned
-// by key and waits for its result.
-func (s *Service) dispatchAggregate(ctx context.Context, key string, in core.Instance, kind string) (*aggregate.Result, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, agg: &aggJob{kind: kind}, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.agg, r.err
-}
-
 // Aggregate answers one convergecast request: from the aggregation cache
 // when the instance has been scheduled before, otherwise by exactly one
 // scheduler run even under concurrent identical requests — the same
 // serving discipline Plan uses, against a separate cache keyed by the
 // "agg"-tagged digest.
 func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (AggregateResponse, error) {
-	start := time.Now()
-	if err := s.enter(); err != nil {
-		return AggregateResponse{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return AggregateResponse{}, s.fail(err)
-	}
-	kind, err := parseAggSpec(req.Scheduler)
-	if err != nil {
-		return AggregateResponse{}, s.fail(err)
-	}
-	tr := obs.FromContext(ctx)
-	rs := tr.Root().Child("resolve")
-	r, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		rs.End()
-		return AggregateResponse{}, s.fail(err)
-	}
-	if rs != nil {
-		rs.SetInt("nodes", int64(r.in.G.N()))
-		rs.SetStr("scheduler", kind)
-	}
-	rs.End()
-	key := r.aggDigest + "|" + kind
-
-	s.aggregates.Add(1)
-	cs := tr.Root().Child("cache")
-	res, hit, coalesced, err := cachedCompute(ctx, s.acache, key, req.NoCache,
-		func(ctx context.Context) (*aggregate.Result, error) {
-			return s.dispatchAggregate(ctx, key, r.in, kind)
-		})
-	elapsed := time.Since(start)
-	if err != nil {
-		cs.End()
-		return AggregateResponse{}, s.fail(err)
-	}
-	cs.SetBool("hit", hit)
-	cs.SetBool("coalesced", coalesced)
-	cs.End()
-	return AggregateResponse{
-		Digest:    r.aggDigest,
-		Scheduler: res.Scheduler,
-		Result:    res,
-		CacheHit:  hit,
-		Coalesced: coalesced,
-		Elapsed:   elapsed,
-	}, nil
+	return serve(ctx, s, func(start time.Time) (AggregateResponse, error) {
+		kind, err := parseAggSpec(req.Scheduler)
+		if err != nil {
+			return AggregateResponse{}, err
+		}
+		r, err := s.resolveStep(ctx, req.WorkloadRequest, kind)
+		if err != nil {
+			return AggregateResponse{}, err
+		}
+		key := r.aggDigest + "|" + kind
+		s.aggregates.Add(1)
+		res, hit, coalesced, err := cacheStep(ctx, s.acache, key, req.NoCache,
+			func(ctx context.Context) (*aggregate.Result, error) {
+				tr := obs.FromContext(ctx)
+				return onWorker(ctx, s, key, func(w *worker) (*aggregate.Result, error) {
+					return w.aggregate(s, tr, r.in, kind)
+				})
+			})
+		if err != nil {
+			return AggregateResponse{}, err
+		}
+		return AggregateResponse{
+			Digest:    r.aggDigest,
+			Scheduler: res.Scheduler,
+			Result:    res,
+			CacheHit:  hit,
+			Coalesced: coalesced,
+			Elapsed:   time.Since(start),
+		}, nil
+	})
 }

@@ -49,13 +49,6 @@ type ReplanResponse struct {
 	Elapsed     time.Duration
 }
 
-// replanJob carries one repair onto a worker: the base plan (shared,
-// immutable — the replanner never mutates it) and the delta.
-type replanJob struct {
-	basePlan *core.Schedule
-	delta    churn.Delta
-}
-
 // replanOutcome is the cached product of one repair. The mutated instance
 // itself is not retained — its digest is, and the repaired plan is stored
 // in the plan cache under that digest.
@@ -67,19 +60,20 @@ type replanOutcome struct {
 	baseAdvances int
 }
 
-// execReplan runs one repair on the worker's reusable replanner (which
-// wraps the same per-spec engine the worker's plan searches use — one
-// goroutine, one arena set).
-func (w *worker) execReplan(s *Service, jb job) (*replanOutcome, error) {
-	span := jb.tr.Root().Child("repair")
+// replan runs one repair on the worker's reusable replanner (which wraps
+// the same per-spec engine the worker's plan searches use — one
+// goroutine, one arena set). basePlan is shared and immutable; the
+// replanner never mutates it.
+func (w *worker) replan(s *Service, tr *obs.Trace, in core.Instance, sp spec, basePlan *core.Schedule, delta churn.Delta) (*replanOutcome, error) {
+	span := tr.Root().Child("repair")
 	defer span.End()
-	sp := resolveSpec(jb.sp, jb.in)
+	sp = resolveSpec(sp, in)
 	rp, ok := w.replanners[sp]
 	if !ok {
 		rp = churn.NewReplanner(churn.ReplanConfig{Scheduler: w.scheduler(sp)})
 		w.replanners[sp] = rp
 	}
-	rr, err := rp.Replan(jb.in, jb.rep.basePlan, jb.rep.delta)
+	rr, err := rp.Replan(in, basePlan, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -108,16 +102,6 @@ func (w *worker) execReplan(s *Service, jb job) (*replanOutcome, error) {
 	}, nil
 }
 
-// dispatchReplan queues one repair on the worker shard owned by key and
-// waits for its outcome.
-func (s *Service) dispatchReplan(ctx context.Context, key string, base core.Instance, sp spec, rj *replanJob) (*replanOutcome, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: base, sp: sp, rep: rj, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.rep, r.err
-}
-
 // Replan answers one churn request: resolve the base instance, obtain its
 // plan through the plan cache, then serve the repaired plan from the
 // replan cache keyed by (base digest, delta digest) — repairing at most
@@ -126,96 +110,95 @@ func (s *Service) dispatchReplan(ctx context.Context, key string, base core.Inst
 // digest (they are exactly what a Plan request would compute), so the
 // churned topology content-addresses like any other.
 func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse, error) {
-	start := time.Now()
-	if err := s.enter(); err != nil {
-		return ReplanResponse{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	sp, err := parseSpec(req.Scheduler, req.Budget)
-	if err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	if err := req.Delta.Validate(); err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	// Checked before resolve hashes the instance, whose digest would
-	// otherwise fail with a less specific graphio error. Generated bases
-	// always have a graph.
-	if req.Instance != nil && req.Instance.G == nil {
-		return ReplanResponse{}, s.fail(errors.New("service: replan base has no graph"))
-	}
-	b, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	deltaDigest, err := churn.DeltaDigest(req.Delta)
-	if err != nil {
-		return ReplanResponse{}, s.fail(err)
-	}
-	pkey := planKey(b.digest, sp)
-	rkey := pkey + "|replan|" + deltaDigest.String()
-	s.replans.Add(1)
-	tr := obs.FromContext(ctx)
-	cs := tr.Root().Child("cache")
-
-	// The base plan resolves lazily, inside the repair computation: a
-	// replan-cache hit must not pay a base-plan search (the base may have
-	// been evicted from the plan cache while the repair is still hot).
-	// Steady-state churn traffic repairing the same base over and over
-	// finds the base plan in the plan cache on every actual repair.
-	var baseHit bool
-	out, hit, coalesced, err := cachedCompute(ctx, s.rcache, rkey, req.NoCache,
-		func(ctx context.Context) (*replanOutcome, error) {
-			basePlan, planHit, _, err := s.planFor(ctx, pkey, b.in, sp, false, 0)
-			if err != nil {
-				return nil, err
-			}
-			baseHit = planHit
-			return s.dispatchReplan(ctx, rkey, b.in, sp, &replanJob{basePlan: basePlan.Schedule, delta: req.Delta})
-		})
-	if err != nil {
-		cs.End()
-		return ReplanResponse{}, s.fail(err)
-	}
-	if cs != nil {
-		cs.SetBool("hit", hit)
-		cs.SetBool("coalesced", coalesced)
-		cs.SetBool("base_plan_hit", baseHit)
-		cs.SetStr("strategy", string(out.strategy))
-	}
-	cs.End()
-	if !hit && !coalesced {
-		switch out.strategy {
-		case churn.StrategyPrefix:
-			s.replanPrefix.Add(1)
-		case churn.StrategyIncremental:
-			s.replanIncremental.Add(1)
-		default:
-			s.replanCold.Add(1)
-			// A cold repair ran the actual engine on the mutated instance —
-			// byte-for-byte what a Plan request would compute — so publish
-			// it under the mutated instance's own digest for later Plan
-			// traffic. Prefix/incremental repairs stay in the replan cache
-			// only: they are valid but possibly suboptimal, and a Plan
-			// request for an exactness-claiming scheduler must never be
-			// answered with one.
-			s.cache.Put(planKey(out.digest, sp), out.res)
+	return serve(ctx, s, func(start time.Time) (ReplanResponse, error) {
+		sp, err := parseSpec(req.Scheduler, req.Budget)
+		if err != nil {
+			return ReplanResponse{}, err
 		}
-	}
-	return ReplanResponse{
-		BaseDigest:   b.digest,
-		Digest:       out.digest,
-		Scheduler:    out.res.Scheduler,
-		Result:       out.res,
-		Strategy:     out.strategy,
-		KeptAdvances: out.keptAdvances,
-		BaseAdvances: out.baseAdvances,
-		BasePlanHit:  baseHit,
-		CacheHit:     hit,
-		Coalesced:    coalesced,
-		Elapsed:      time.Since(start),
-	}, nil
+		if err := req.Delta.Validate(); err != nil {
+			return ReplanResponse{}, err
+		}
+		// Checked before resolve hashes the instance, whose digest would
+		// otherwise fail with a less specific graphio error. Generated bases
+		// always have a graph.
+		if req.Instance != nil && req.Instance.G == nil {
+			return ReplanResponse{}, errors.New("service: replan base has no graph")
+		}
+		b, err := s.resolveStep(ctx, req.WorkloadRequest, sp.kind)
+		if err != nil {
+			return ReplanResponse{}, err
+		}
+		deltaDigest, err := churn.DeltaDigest(req.Delta)
+		if err != nil {
+			return ReplanResponse{}, err
+		}
+		pkey := planKey(b.digest, sp)
+		rkey := pkey + "|replan|" + deltaDigest.String()
+		s.replans.Add(1)
+
+		// The base plan resolves lazily, inside the repair computation: a
+		// replan-cache hit must not pay a base-plan search (the base may have
+		// been evicted from the plan cache while the repair is still hot).
+		// Steady-state churn traffic repairing the same base over and over
+		// finds the base plan in the plan cache on every actual repair.
+		var baseHit bool
+		out, hit, coalesced, err := cacheStep(ctx, s.rcache, rkey, req.NoCache,
+			func(ctx context.Context) (*replanOutcome, error) {
+				base, planHit, err := s.basePlan(ctx, pkey, b.in, sp)
+				if err != nil {
+					return nil, err
+				}
+				baseHit = planHit
+				tr := obs.FromContext(ctx)
+				return onWorker(ctx, s, rkey, func(w *worker) (*replanOutcome, error) {
+					return w.replan(s, tr, b.in, sp, base.Schedule, req.Delta)
+				})
+			})
+		if err != nil {
+			return ReplanResponse{}, err
+		}
+		if !hit && !coalesced {
+			switch out.strategy {
+			case churn.StrategyPrefix:
+				s.replanPrefix.Add(1)
+			case churn.StrategyIncremental:
+				s.replanIncremental.Add(1)
+			default:
+				s.replanCold.Add(1)
+				// A cold repair ran the actual engine on the mutated instance —
+				// byte-for-byte what a Plan request would compute — so publish
+				// it under the mutated instance's own digest for later Plan
+				// traffic. Prefix/incremental repairs stay in the replan cache
+				// only: they are valid but possibly suboptimal, and a Plan
+				// request for an exactness-claiming scheduler must never be
+				// answered with one.
+				s.cache.Put(planKey(out.digest, sp), out.res)
+			}
+		}
+		return ReplanResponse{
+			BaseDigest:   b.digest,
+			Digest:       out.digest,
+			Scheduler:    out.res.Scheduler,
+			Result:       out.res,
+			Strategy:     out.strategy,
+			KeptAdvances: out.keptAdvances,
+			BaseAdvances: out.baseAdvances,
+			BasePlanHit:  baseHit,
+			CacheHit:     hit,
+			Coalesced:    coalesced,
+			Elapsed:      time.Since(start),
+		}, nil
+	})
+}
+
+// basePlan is Replan's extra step: the base instance's plan through the
+// plan cache, under a "base_plan" span recording whether it hit.
+func (s *Service) basePlan(ctx context.Context, pkey string, in core.Instance, sp spec) (*core.Result, bool, error) {
+	bs := obs.FromContext(ctx).Root().Child("base_plan")
+	defer bs.End()
+	res, hit, _, err := cachedCompute(ctx, s.cache, pkey, false, func(ctx context.Context) (*core.Result, error) {
+		return s.searchOn(ctx, pkey, in, sp, 0)
+	})
+	bs.SetBool("hit", hit)
+	return res, hit, err
 }

@@ -5,12 +5,20 @@
 // reusable search engine (scratch + memo arenas), and a warm cache hit
 // never touches an engine at all.
 //
-// Request flow:
+// Request flow, the same for every workload (Plan, Validate, Aggregate,
+// Replan):
 //
-//	Plan → resolve: instance + digest → cache key (digest|scheduler)
-//	     → hit: return the immutable cached Result
-//	     → miss: singleflight-dispatch one search onto the worker shard
-//	       picked by the key; coalesced callers wait for the leader.
+//	serve   → enter (ErrClosed after Close), ctx check, error counting
+//	parse   → the workload's own spec (scheduler, loss model, delta…)
+//	resolve → instance + digests ("resolve" span)
+//	key     → digest|spec[|workload parameters]
+//	cache   → hit: the immutable cached answer ("cache" span)
+//	        → miss: singleflight-led onWorker closure on the key's shard;
+//	          coalesced callers wait for the leader
+//
+// A job is a plain closure run on the worker goroutine that owns the
+// key's shard, so the worker's engines, replanners, convergecast
+// schedulers, Monte-Carlo estimator and improver need no lock.
 //
 // resolve hashes an explicit instance on every request, but a generator
 // deployment only once, when it is generated: the deployment cache stores
@@ -45,7 +53,7 @@ import (
 	"mlbs/internal/topology"
 )
 
-// ErrClosed is returned by Plan after Close.
+// ErrClosed is returned by every workload method after Close.
 var ErrClosed = errors.New("service: closed")
 
 // Config sizes the service. The zero value selects the defaults noted on
@@ -58,30 +66,34 @@ type Config struct {
 	QueueDepth int
 	// CacheCapacity bounds the plan cache (entries). Default 4096.
 	CacheCapacity int
-	// CacheShards is the plan cache's shard count. Default 16.
-	CacheShards int
-	// GenCacheCapacity bounds the generated-deployment cache that backs
-	// Generator requests. Default 256.
-	GenCacheCapacity int
-	// ValidateCacheCapacity bounds the reliability-report cache that backs
-	// Validate requests (entries). Default 1024.
-	ValidateCacheCapacity int
-	// ReplanCacheCapacity bounds the repaired-plan cache keyed by
-	// (base digest, delta digest) that backs Replan requests. Default 1024.
-	ReplanCacheCapacity int
-	// AggregateCacheCapacity bounds the convergecast-plan cache that backs
-	// Aggregate requests (entries). Default 1024.
-	AggregateCacheCapacity int
 	// ImproveWorkers is the background anytime-improver pool size. 0 (the
 	// default) disables background improvement entirely: warm hits with an
 	// improve budget are served as-is, exactly the pre-improver behavior.
 	// Cold-path synchronous improvement only needs a request budget, not
 	// the pool.
 	ImproveWorkers int
-	// ImproveQueue bounds the background improvement queue; a full queue
-	// drops the upgrade request (counted, never blocks a Plan). Default 64.
-	ImproveQueue int
 }
+
+// Fixed sizes of the service's other caches and queues.
+const (
+	// cacheShards is the plan cache's shard count.
+	cacheShards = 16
+	// genCacheCapacity bounds the generated-deployment cache that backs
+	// Generator requests.
+	genCacheCapacity = 256
+	// validateCacheCapacity bounds the reliability-report cache that backs
+	// Validate requests.
+	validateCacheCapacity = 1024
+	// replanCacheCapacity bounds the repaired-plan cache keyed by (base
+	// digest, delta digest) that backs Replan requests.
+	replanCacheCapacity = 1024
+	// aggregateCacheCapacity bounds the convergecast-plan cache that backs
+	// Aggregate requests.
+	aggregateCacheCapacity = 1024
+	// improveQueue bounds the background improvement queue; a full queue
+	// drops the upgrade request (counted, never blocks a Plan).
+	improveQueue = 64
+)
 
 // Generator asks the service to build the instance itself from the
 // paper's topology family — the request form remote clients use when they
@@ -188,8 +200,6 @@ type Response struct {
 	CacheHit  bool
 	Coalesced bool
 	Elapsed   time.Duration
-	// Err is set instead of Result on per-item failures inside PlanBatch.
-	Err error
 }
 
 // Metrics is a point-in-time snapshot of service traffic.
@@ -285,24 +295,6 @@ func parseSpec(name string, budget int) (spec, error) {
 	}
 }
 
-type job struct {
-	in    core.Instance
-	sp    spec
-	val   *valJob    // set for Monte-Carlo validation jobs
-	rep   *replanJob // set for churn-repair jobs
-	agg   *aggJob    // set for convergecast-scheduling jobs
-	reply chan<- jobResult
-	// improve is the synchronous anytime-improvement budget spent on a
-	// cold search's result before it is stored and returned.
-	improve time.Duration
-	// tr is the requesting caller's trace (nil for untraced requests —
-	// the overwhelmingly common case). Handing the pointer across the
-	// queue is safe: every span operation takes the trace's own mutex.
-	// Under singleflight only the leader's trace rides the job, so
-	// coalesced waiters see cache attributes but no worker-side spans.
-	tr *obs.Trace
-}
-
 // valJob carries one Monte-Carlo validation: the (shared, immutable)
 // schedule to replay plus the loss-model parameters. Repair never mutates
 // the schedule it is given; it clones before appending.
@@ -314,14 +306,6 @@ type valJob struct {
 	maxExtra int
 }
 
-type jobResult struct {
-	res *core.Result
-	out *validateOutcome
-	rep *replanOutcome
-	agg *aggregate.Result
-	err error
-}
-
 // validateOutcome is the cached product of one validation: the estimate,
 // plus the repair result when a target was requested.
 type validateOutcome struct {
@@ -329,70 +313,61 @@ type validateOutcome struct {
 	repair *reliability.RepairResult
 }
 
-// worker owns one goroutine and the reusable engines it has instantiated;
-// the engines map and the Monte-Carlo estimator are touched only from the
-// worker's own goroutine, so no lock guards them and their arenas stay
-// warm call after call.
+// worker owns one goroutine and the reusable state its jobs run on: the
+// engines, replanners, convergecast schedulers, Monte-Carlo estimator and
+// improver are touched only from the worker's own goroutine, so no lock
+// guards them and their arenas stay warm call after call.
 type worker struct {
-	jobs       chan job
+	jobs       chan func(*worker)
 	engines    map[spec]core.Scheduler
 	replanners map[spec]*churn.Replanner
-	// aggs holds the worker's reusable convergecast schedulers by tree
-	// kind; like engines, only the worker's own goroutine touches them so
-	// their scratch arenas stay warm.
-	aggs map[string]*aggregate.Scheduler
-	est  *reliability.Estimator
-	// imp is the worker's reusable improver for synchronous cold-path
-	// improvement; like the engines, it is touched only by the worker's
-	// own goroutine so its arenas stay warm.
-	imp *improve.Improver
+	aggs       map[string]*aggregate.Scheduler
+	est        *reliability.Estimator
+	imp        *improve.Improver
 }
 
 func (w *worker) run(s *Service) {
 	defer s.wg.Done()
-	for jb := range w.jobs {
-		if jb.agg != nil {
-			res, err := w.execAggregate(s, jb)
-			jb.reply <- jobResult{agg: res, err: err}
-			continue
-		}
-		if jb.rep != nil {
-			rep, err := w.execReplan(s, jb)
-			jb.reply <- jobResult{rep: rep, err: err}
-			continue
-		}
-		if jb.val != nil {
-			out, err := w.execValidate(jb)
-			if err == nil {
-				// Repair re-estimates once per round on top of the
-				// baseline estimate; count every replay actually run.
-				batches := int64(1)
-				if out.repair != nil {
-					batches = int64(out.repair.Rounds) + 1
-				}
-				s.mcTrials.Add(int64(jb.val.trials) * batches)
-			}
-			jb.reply <- jobResult{out: out, err: err}
-			continue
-		}
-		res, err := w.exec(s, jb)
-		if err == nil {
-			s.searches.Add(1)
-		}
-		jb.reply <- jobResult{res: res, err: err}
+	for job := range w.jobs {
+		job(w)
 	}
 }
 
-// execValidate runs one Monte-Carlo validation on the worker's reusable
+// onWorker runs fn on the worker goroutine that owns key's shard and waits
+// for its result. Once queued the job runs to completion (its budget or
+// trial count bounds the time); ctx only guards the queueing itself.
+func onWorker[V any](ctx context.Context, s *Service, key string, fn func(*worker) (V, error)) (V, error) {
+	// plancache.KeyHash, not a local hash: worker selection deliberately
+	// co-shards with the cache so repeats of an instance land on the
+	// worker whose engine/estimator arenas are already sized for it.
+	w := s.workers[int(plancache.KeyHash(key)%uint64(len(s.workers)))]
+	var (
+		val  V
+		err  error
+		done = make(chan struct{})
+	)
+	select {
+	case w.jobs <- func(w *worker) {
+		val, err = fn(w)
+		close(done)
+	}:
+	case <-ctx.Done():
+		return val, ctx.Err()
+	}
+	<-done
+	return val, err
+}
+
+// validate runs one Monte-Carlo validation on the worker's reusable
 // estimator. Trials run single-threaded here — the pool provides the
 // concurrency across requests, and the report is identical either way.
-func (w *worker) execValidate(jb job) (*validateOutcome, error) {
+func (w *worker) validate(s *Service, in core.Instance, v valJob) (*validateOutcome, error) {
 	if w.est == nil {
 		w.est = reliability.NewEstimator()
 	}
-	v := jb.val
+	out := &validateOutcome{}
 	if v.target > 0 {
-		rr, err := w.est.Repair(jb.in, v.sched, v.model, reliability.RepairConfig{
+		rr, err := w.est.Repair(in, v.sched, v.model, reliability.RepairConfig{
 			Target:        v.target,
 			Trials:        v.trials,
 			Workers:       1,
@@ -401,32 +376,48 @@ func (w *worker) execValidate(jb job) (*validateOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &validateOutcome{report: rr.After, repair: rr}, nil
+		out.report, out.repair = rr.After, rr
+	} else {
+		rep, err := w.est.Estimate(in, v.sched, v.model, reliability.Config{Trials: v.trials, Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		out.report = rep
 	}
-	rep, err := w.est.Estimate(jb.in, v.sched, v.model, reliability.Config{Trials: v.trials, Workers: 1})
-	if err != nil {
-		return nil, err
+	// Repair re-estimates once per round on top of the baseline estimate;
+	// count every replay actually run.
+	batches := int64(1)
+	if out.repair != nil {
+		batches = int64(out.repair.Rounds) + 1
 	}
-	return &validateOutcome{report: rep}, nil
+	s.mcTrials.Add(int64(v.trials) * batches)
+	return out, nil
 }
 
-func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
-	search := jb.tr.Root().Child("search")
-	sched := w.scheduler(resolveSpec(jb.sp, jb.in))
+// plan runs one search on the worker's reusable engine for sp,
+// then spends the synchronous improve budget on its result. tr is the
+// requesting caller's trace (nil for untraced requests); using it on the
+// worker goroutine is safe because every span operation takes the trace's
+// own mutex. Under singleflight only the leader's computation reaches the
+// worker, so exactly one trace collects the worker-side spans.
+func (w *worker) plan(s *Service, tr *obs.Trace, in core.Instance, sp spec, budget time.Duration) (*core.Result, error) {
+	search := tr.Root().Child("search")
+	sched := w.scheduler(resolveSpec(sp, in))
 	var res *core.Result
 	var err error
-	if en, ok := sched.(*core.Engine); ok && jb.tr != nil {
+	if en, ok := sched.(*core.Engine); ok && tr != nil {
 		// Traced searches collect the per-depth profile; the plain path
 		// runs exactly the pre-observability search so untraced results
 		// keep their historic encodings.
-		res, err = en.ScheduleProfiled(jb.in)
+		res, err = en.ScheduleProfiled(in)
 	} else {
-		res, err = sched.Schedule(jb.in)
+		res, err = sched.Schedule(in)
 	}
 	if err != nil {
 		search.End()
 		return res, err
 	}
+	s.searches.Add(1)
 	s.engineStates.Add(int64(res.Stats.Expanded))
 	s.engineMemoHits.Add(int64(res.Stats.MemoHits))
 	search.SetStr("scheduler", res.Scheduler)
@@ -440,9 +431,9 @@ func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
 	}
 	search.End()
 
-	isp := jb.tr.Root().Child("improve")
-	isp.SetInt("budget_ns", int64(jb.improve))
-	if jb.improve <= 0 || res.Exact {
+	isp := tr.Root().Child("improve")
+	isp.SetInt("budget_ns", int64(budget))
+	if budget <= 0 || res.Exact {
 		isp.SetBool("skipped", true)
 		isp.End()
 		return res, nil
@@ -454,7 +445,7 @@ func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
 	if w.imp == nil {
 		w.imp = improve.New()
 	}
-	out, st, ierr := w.imp.Improve(jb.in, res.Schedule, improve.Options{Deadline: jb.improve})
+	out, st, ierr := w.imp.Improve(in, res.Schedule, improve.Options{Deadline: budget})
 	setImproveAttrs(isp, st)
 	isp.End()
 	if ierr != nil || (st.SlotsSaved == 0 && !st.Exact) {
@@ -553,7 +544,6 @@ func newScheduler(sp spec) core.Scheduler {
 // Service serves broadcast plans concurrently. Build with New; Close when
 // done.
 type Service struct {
-	cfg     Config
 	cache   *plancache.Cache[*core.Result]
 	gens    *plancache.Cache[resolved]
 	vcache  *plancache.Cache[*validateOutcome]
@@ -618,29 +608,16 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.GenCacheCapacity <= 0 {
-		cfg.GenCacheCapacity = 256
-	}
-	if cfg.ValidateCacheCapacity <= 0 {
-		cfg.ValidateCacheCapacity = 1024
-	}
-	if cfg.ReplanCacheCapacity <= 0 {
-		cfg.ReplanCacheCapacity = 1024
-	}
-	if cfg.AggregateCacheCapacity <= 0 {
-		cfg.AggregateCacheCapacity = 1024
-	}
 	s := &Service{
-		cfg:    cfg,
-		cache:  plancache.New[*core.Result](cfg.CacheCapacity, cfg.CacheShards),
-		gens:   plancache.New[resolved](cfg.GenCacheCapacity, 4),
-		vcache: plancache.New[*validateOutcome](cfg.ValidateCacheCapacity, 8),
-		rcache: plancache.New[*replanOutcome](cfg.ReplanCacheCapacity, 8),
-		acache: plancache.New[*aggregate.Result](cfg.AggregateCacheCapacity, 8),
+		cache:  plancache.New[*core.Result](cfg.CacheCapacity, cacheShards),
+		gens:   plancache.New[resolved](genCacheCapacity, 4),
+		vcache: plancache.New[*validateOutcome](validateCacheCapacity, 8),
+		rcache: plancache.New[*replanOutcome](replanCacheCapacity, 8),
+		acache: plancache.New[*aggregate.Result](aggregateCacheCapacity, 8),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
-			jobs:       make(chan job, cfg.QueueDepth),
+			jobs:       make(chan func(*worker), cfg.QueueDepth),
 			engines:    make(map[spec]core.Scheduler),
 			replanners: make(map[spec]*churn.Replanner),
 			aggs:       make(map[string]*aggregate.Scheduler),
@@ -650,11 +627,7 @@ func New(cfg Config) *Service {
 		go w.run(s)
 	}
 	if cfg.ImproveWorkers > 0 {
-		if cfg.ImproveQueue <= 0 {
-			cfg.ImproveQueue = 64
-		}
-		s.cfg.ImproveQueue = cfg.ImproveQueue
-		s.improveJobs = make(chan improveJob, cfg.ImproveQueue)
+		s.improveJobs = make(chan improveJob, improveQueue)
 		s.improving = make(map[string]struct{})
 		for i := 0; i < cfg.ImproveWorkers; i++ {
 			s.improveWg.Add(1)
@@ -737,10 +710,19 @@ func (s *Service) upgrade(imp *improve.Improver, jb improveJob) {
 	}
 }
 
-// enqueueImprove asks the background pool to upgrade key, deduping against
-// upgrades already queued or running. Never blocks: a full queue counts a
-// drop and moves on — improvement is best-effort, serving is not.
-func (s *Service) enqueueImprove(key string, in core.Instance, budget time.Duration) {
+// enqueueImprove is Plan's extra step on a warm hit with a budget: ask
+// the background pool to upgrade key (serving generation gen), deduping
+// against upgrades already queued or running, under an "improve_enqueue"
+// span. Never blocks: a full queue counts a drop and moves on —
+// improvement is best-effort, serving is not.
+func (s *Service) enqueueImprove(ctx context.Context, key string, in core.Instance, budget time.Duration, gen int) {
+	qs := obs.FromContext(ctx).Root().Child("improve_enqueue")
+	defer qs.End()
+	if qs != nil {
+		qs.SetInt("generation", int64(gen))
+		qs.SetInt("budget_ns", int64(budget))
+		qs.SetInt("queue_depth", int64(len(s.improveJobs)))
+	}
 	if s.improveJobs == nil {
 		return
 	}
@@ -796,12 +778,27 @@ func (s *Service) enter() error {
 	return nil
 }
 
-// fail counts err as a request that ended in an error and returns it.
-// Every error a workload method returns after enter succeeds goes
-// through here; the success path never touches the counter.
-func (s *Service) fail(err error) error {
+// serve is the entry and exit every workload method shares: it registers
+// the request (ErrClosed once Close has begun), rejects a request whose
+// ctx is already done, runs fn with the request's start time, and counts
+// every error after enter in Metrics.Errors — the success path never
+// touches that counter.
+func serve[R any](ctx context.Context, s *Service, fn func(start time.Time) (R, error)) (R, error) {
+	start := time.Now()
+	var zero R
+	if err := s.enter(); err != nil {
+		return zero, err
+	}
+	defer s.inflight.Done()
+	err := ctx.Err()
+	if err == nil {
+		var r R
+		if r, err = fn(start); err == nil {
+			return r, nil
+		}
+	}
 	s.errs.Add(1)
-	return err
+	return zero, err
 }
 
 // resolved is a request's instance together with its content addresses,
@@ -854,36 +851,17 @@ func (s *Service) resolve(req WorkloadRequest) (resolved, error) {
 	return r, err
 }
 
-// dispatchJob queues one job (search or validation) on the worker shard
-// owned by key and waits for its result. Once queued the job runs to
-// completion (its budget/trial count bounds the time); ctx only guards
-// the queueing itself. The returned error is the queueing error; the
-// job's own outcome travels inside the jobResult.
-func (s *Service) dispatchJob(ctx context.Context, key string, jb job) (jobResult, error) {
-	// plancache.KeyHash, not a local hash: worker selection deliberately
-	// co-shards with the cache so repeats of an instance land on the
-	// worker whose engine/estimator arenas are already sized for it.
-	w := s.workers[int(plancache.KeyHash(key)%uint64(len(s.workers)))]
-	reply := make(chan jobResult, 1)
-	jb.reply = reply
-	select {
-	case w.jobs <- jb:
-	case <-ctx.Done():
-		return jobResult{}, ctx.Err()
+// resolveStep is the resolve phase every workload shares: resolve under a
+// "resolve" span annotated with the node count and the scheduler kind.
+func (s *Service) resolveStep(ctx context.Context, req WorkloadRequest, kind string) (resolved, error) {
+	rs := obs.FromContext(ctx).Root().Child("resolve")
+	defer rs.End()
+	r, err := s.resolve(req)
+	if err == nil && rs != nil {
+		rs.SetInt("nodes", int64(r.in.G.N()))
+		rs.SetStr("scheduler", kind)
 	}
-	return <-reply, nil
-}
-
-// dispatch queues one search and waits for its result. The caller's trace
-// rides the job onto the worker: under singleflight only the leader's
-// context reaches this point, so exactly one trace collects the
-// worker-side spans.
-func (s *Service) dispatch(ctx context.Context, key string, in core.Instance, sp spec, improveBudget time.Duration) (*core.Result, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, sp: sp, improve: improveBudget, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.res, r.err
+	return r, err
 }
 
 // planKey is the plan-cache key of a hex instance digest under a
@@ -916,11 +894,27 @@ func cachedCompute[V any](ctx context.Context, c *plancache.Cache[V], key string
 	})
 }
 
-// planFor obtains the plan behind key: from the cache, or by exactly one
-// dispatched search even under concurrent identical requests.
-func (s *Service) planFor(ctx context.Context, key string, in core.Instance, sp spec, noCache bool, improveBudget time.Duration) (res *core.Result, hit, coalesced bool, err error) {
-	return cachedCompute(ctx, s.cache, key, noCache, func(ctx context.Context) (*core.Result, error) {
-		return s.dispatch(ctx, key, in, sp, improveBudget)
+// cacheStep is the cache phase every workload shares: cachedCompute
+// under a "cache" span that records whether the answer hit the cache or
+// coalesced onto another caller's computation.
+func cacheStep[V any](ctx context.Context, c *plancache.Cache[V], key string, noCache bool,
+	compute func(context.Context) (V, error)) (val V, hit, coalesced bool, err error) {
+	cs := obs.FromContext(ctx).Root().Child("cache")
+	defer cs.End()
+	val, hit, coalesced, err = cachedCompute(ctx, c, key, noCache, compute)
+	if err == nil {
+		cs.SetBool("hit", hit)
+		cs.SetBool("coalesced", coalesced)
+	}
+	return val, hit, coalesced, err
+}
+
+// searchOn computes the plan behind key: one search on key's worker. The
+// caller's trace rides the closure onto the worker.
+func (s *Service) searchOn(ctx context.Context, key string, in core.Instance, sp spec, budget time.Duration) (*core.Result, error) {
+	tr := obs.FromContext(ctx)
+	return onWorker(ctx, s, key, func(w *worker) (*core.Result, error) {
+		return w.plan(s, tr, in, sp, budget)
 	})
 }
 
@@ -928,93 +922,45 @@ func (s *Service) planFor(ctx context.Context, key string, in core.Instance, sp 
 // planned before, otherwise by exactly one search even under concurrent
 // identical requests.
 func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, error) {
-	start := time.Now()
-	if err := s.enter(); err != nil {
-		return Response{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return Response{}, s.fail(err)
-	}
-	sp, err := parseSpec(req.Scheduler, req.Budget)
-	if err != nil {
-		return Response{}, s.fail(err)
-	}
-	// tr is nil on untraced requests — every span call below is then a
-	// nil-receiver no-op, which is what keeps the warm path's alloc pin.
-	tr := obs.FromContext(ctx)
-	rs := tr.Root().Child("resolve")
-	r, err := s.resolve(req)
-	if err != nil {
-		rs.End()
-		return Response{}, s.fail(err)
-	}
-	if rs != nil {
-		rs.SetInt("nodes", int64(r.in.G.N()))
-		rs.SetStr("scheduler", sp.kind)
-	}
-	rs.End()
-	key := planKey(r.digest, sp)
-
-	s.requests.Add(1)
-	cs := tr.Root().Child("cache")
-	res, hit, coalesced, err := s.planFor(ctx, key, r.in, sp, req.NoCache, req.ImproveBudget)
-	elapsed := time.Since(start)
-	if err != nil {
-		cs.End()
-		return Response{}, s.fail(err)
-	}
-	cs.SetBool("hit", hit)
-	cs.SetBool("coalesced", coalesced)
-	if hit {
-		cs.SetInt("generation", int64(res.Generation))
-	}
-	cs.End()
-	if hit {
-		s.hitHist.observe(elapsed)
-		// Serve best-so-far instantly, improve in the background: a warm
-		// hit with a budget never pays for its own improvement, it funds
-		// the next reader's. Already-exact plans have nothing left.
-		if req.ImproveBudget > 0 && !res.Exact {
-			qs := tr.Root().Child("improve_enqueue")
-			if qs != nil {
-				qs.SetInt("budget_ns", int64(req.ImproveBudget))
-				qs.SetInt("queue_depth", int64(len(s.improveJobs)))
-			}
-			s.enqueueImprove(key, r.in, req.ImproveBudget)
-			qs.End()
+	return serve(ctx, s, func(start time.Time) (Response, error) {
+		sp, err := parseSpec(req.Scheduler, req.Budget)
+		if err != nil {
+			return Response{}, err
 		}
-	} else {
-		s.missHist.observe(elapsed)
-	}
-	return Response{
-		Digest:    r.digest,
-		Scheduler: res.Scheduler,
-		Result:    res,
-		CacheHit:  hit,
-		Coalesced: coalesced,
-		Elapsed:   elapsed,
-	}, nil
-}
-
-// PlanBatch answers many requests concurrently, preserving order.
-// Per-item failures land in Response.Err; the batch itself always returns.
-func (s *Service) PlanBatch(ctx context.Context, reqs []WorkloadRequest) []Response {
-	resps := make([]Response, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := s.Plan(ctx, reqs[i])
-			if err != nil {
-				r.Err = err
+		r, err := s.resolveStep(ctx, req, sp.kind)
+		if err != nil {
+			return Response{}, err
+		}
+		key := planKey(r.digest, sp)
+		s.requests.Add(1)
+		res, hit, coalesced, err := cacheStep(ctx, s.cache, key, req.NoCache,
+			func(ctx context.Context) (*core.Result, error) {
+				return s.searchOn(ctx, key, r.in, sp, req.ImproveBudget)
+			})
+		elapsed := time.Since(start)
+		if err != nil {
+			return Response{}, err
+		}
+		if hit {
+			s.hitHist.observe(elapsed)
+			// Serve best-so-far instantly, improve in the background: a warm
+			// hit with a budget never pays for its own improvement, it funds
+			// the next reader's. Already-exact plans have nothing left.
+			if req.ImproveBudget > 0 && !res.Exact {
+				s.enqueueImprove(ctx, key, r.in, req.ImproveBudget, res.Generation)
 			}
-			resps[i] = r
-		}(i)
-	}
-	wg.Wait()
-	return resps
+		} else {
+			s.missHist.observe(elapsed)
+		}
+		return Response{
+			Digest:    r.digest,
+			Scheduler: res.Scheduler,
+			Result:    res,
+			CacheHit:  hit,
+			Coalesced: coalesced,
+			Elapsed:   elapsed,
+		}, nil
+	})
 }
 
 // SweepRequest is a streaming parameter sweep over the paper topology
@@ -1052,8 +998,13 @@ type SweepItem struct {
 // as soon as it is ready. A failing cell is reported in its item and the
 // sweep continues; emit returning an error, or ctx expiring, stops it.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest, emit func(SweepItem) error) error {
+	// Request-level mistakes fail the sweep before its first item, so a
+	// caller can still report them instead of streaming one error per cell.
 	if len(req.Sizes) == 0 {
 		return errors.New("service: sweep needs at least one size")
+	}
+	if _, err := parseSpec(req.Scheduler, req.Budget); err != nil {
+		return err
 	}
 	seeds := req.Seeds
 	if len(seeds) == 0 {

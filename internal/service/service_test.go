@@ -247,32 +247,6 @@ func TestNoCacheBypassesLookupButStores(t *testing.T) {
 	}
 }
 
-func TestPlanBatch(t *testing.T) {
-	svc := New(Config{Workers: 4})
-	defer svc.Close()
-	reqs := []WorkloadRequest{
-		{Generator: &Generator{N: 60, Seed: 1}},
-		{Generator: &Generator{N: 60, Seed: 2}},
-		{Generator: &Generator{N: 60, Seed: 1}}, // duplicate of [0]
-		{Scheduler: "nope", Generator: &Generator{N: 60, Seed: 3}},
-	}
-	resps := svc.PlanBatch(context.Background(), reqs)
-	if len(resps) != 4 {
-		t.Fatalf("%d responses", len(resps))
-	}
-	for i := 0; i < 3; i++ {
-		if resps[i].Err != nil {
-			t.Fatalf("batch item %d: %v", i, resps[i].Err)
-		}
-	}
-	if resps[0].Digest != resps[2].Digest || resps[0].Result.PA != resps[2].Result.PA {
-		t.Error("duplicate batch items disagree")
-	}
-	if resps[3].Err == nil {
-		t.Error("bad scheduler did not fail its item")
-	}
-}
-
 func TestSweepStreams(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()

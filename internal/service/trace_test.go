@@ -166,3 +166,53 @@ func TestTracedReplanSpan(t *testing.T) {
 		t.Fatalf("repair base_advances attr: %v", rp.Attrs)
 	}
 }
+
+// TestTracedWorkloadSpans pins the shared pipeline's phases: a traced
+// request of every workload carries a resolve span (annotated with the
+// node count) and a cache span recording hit and coalesced.
+func TestTracedWorkloadSpans(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	base := WorkloadRequest{Generator: &Generator{N: 80, Seed: 3}, Budget: 64}
+	calls := map[string]func(ctx context.Context) (string, error){
+		"plan": func(ctx context.Context) (string, error) {
+			r, err := svc.Plan(ctx, base)
+			return r.Digest, err
+		},
+		"aggregate": func(ctx context.Context) (string, error) {
+			r, err := svc.Aggregate(ctx, AggregateRequest{base})
+			return r.Digest, err
+		},
+		"validate": func(ctx context.Context) (string, error) {
+			r, err := svc.Validate(ctx, ValidateRequest{WorkloadRequest: base, Trials: 20})
+			return r.Digest, err
+		},
+		"replan": func(ctx context.Context) (string, error) {
+			r, err := svc.Replan(ctx, ReplanRequest{WorkloadRequest: base,
+				Delta: churn.Delta{Events: []churn.Event{{Kind: churn.PositionJitter, Node: 1, X: 1e-9, Y: 1e-9}}}})
+			return r.Digest, err
+		},
+	}
+	for name, call := range calls {
+		tr := obs.NewTrace(name)
+		digest, err := call(obs.NewContext(context.Background(), tr))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap := tr.Finish(digest, "")
+		if rs := spanByName(&snap.Root, "resolve"); rs == nil || rs.Attrs["nodes"] != int64(80) {
+			t.Errorf("%s: resolve span missing or unannotated: %+v", name, rs)
+		}
+		cs := spanByName(&snap.Root, "cache")
+		if cs == nil {
+			t.Errorf("%s: no cache span", name)
+			continue
+		}
+		if _, ok := cs.Attrs["hit"]; !ok {
+			t.Errorf("%s: cache span lacks hit: %v", name, cs.Attrs)
+		}
+		if _, ok := cs.Attrs["coalesced"]; !ok {
+			t.Errorf("%s: cache span lacks coalesced: %v", name, cs.Attrs)
+		}
+	}
+}

@@ -57,23 +57,13 @@ type ValidateResponse struct {
 
 // validateKey extends the plan key with everything the Monte-Carlo answer
 // depends on: loss-model parameters, trial count, and the repair target.
-func validateKey(pkey string, m reliability.LossModel, trials int, target float64, maxExtra int) string {
-	return pkey + "|v|" + m.Kind +
-		"|" + strconv.FormatFloat(m.Rate, 'x', -1, 64) +
-		"|" + strconv.FormatUint(m.Seed, 10) +
-		"|" + strconv.Itoa(trials) +
-		"|" + strconv.FormatFloat(target, 'x', -1, 64) +
-		"|" + strconv.Itoa(maxExtra)
-}
-
-// dispatchValidate queues one Monte-Carlo job on the worker shard owned by
-// key and waits for its outcome.
-func (s *Service) dispatchValidate(ctx context.Context, key string, in core.Instance, sp spec, vj *valJob) (*validateOutcome, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, sp: sp, val: vj, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.out, r.err
+func validateKey(pkey string, v valJob) string {
+	return pkey + "|v|" + v.model.Kind +
+		"|" + strconv.FormatFloat(v.model.Rate, 'x', -1, 64) +
+		"|" + strconv.FormatUint(v.model.Seed, 10) +
+		"|" + strconv.Itoa(v.trials) +
+		"|" + strconv.FormatFloat(v.target, 'x', -1, 64) +
+		"|" + strconv.Itoa(v.maxExtra)
 }
 
 // Validate answers one reliability request: resolve the instance, obtain
@@ -81,31 +71,90 @@ func (s *Service) dispatchValidate(ctx context.Context, key string, in core.Inst
 // from the reliability cache — computing it at most once even under
 // concurrent identical requests.
 func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateResponse, error) {
-	start := time.Now()
-	if err := s.enter(); err != nil {
-		return ValidateResponse{}, err
+	return serve(ctx, s, func(start time.Time) (ValidateResponse, error) {
+		sp, err := parseSpec(req.Scheduler, req.Budget)
+		if err != nil {
+			return ValidateResponse{}, err
+		}
+		vj, err := req.normalize()
+		if err != nil {
+			return ValidateResponse{}, err
+		}
+		r, err := s.resolveStep(ctx, req.WorkloadRequest, sp.kind)
+		if err != nil {
+			return ValidateResponse{}, err
+		}
+		pkey := planKey(r.digest, sp)
+		s.validations.Add(1)
+
+		// The schedule itself always goes through the plan cache: re-running
+		// the search would not change the Monte-Carlo answer, only waste a
+		// worker.
+		res, planHit, _, err := cacheStep(ctx, s.cache, pkey, false,
+			func(ctx context.Context) (*core.Result, error) {
+				return s.searchOn(ctx, pkey, r.in, sp, 0)
+			})
+		if err != nil {
+			return ValidateResponse{}, err
+		}
+		vj.sched = res.Schedule
+
+		out, hit, coalesced, err := s.monteCarlo(ctx, validateKey(pkey, vj), r.in, vj, req.NoCache)
+		if err != nil {
+			return ValidateResponse{}, err
+		}
+		return ValidateResponse{
+			Digest:       r.digest,
+			Scheduler:    res.Scheduler,
+			Report:       out.report,
+			Repair:       out.repair,
+			PlanCacheHit: planHit,
+			CacheHit:     hit,
+			Coalesced:    coalesced,
+			Elapsed:      time.Since(start),
+		}, nil
+	})
+}
+
+// monteCarlo is Validate's extra step: the Monte-Carlo outcome for vkey
+// from the reliability cache, or by one validation on vkey's worker, under
+// an "mc_validate" span.
+func (s *Service) monteCarlo(ctx context.Context, vkey string, in core.Instance, vj valJob, noCache bool) (
+	out *validateOutcome, hit, coalesced bool, err error) {
+	vs := obs.FromContext(ctx).Root().Child("mc_validate")
+	defer vs.End()
+	out, hit, coalesced, err = cachedCompute(ctx, s.vcache, vkey, noCache, func(ctx context.Context) (*validateOutcome, error) {
+		return onWorker(ctx, s, vkey, func(w *worker) (*validateOutcome, error) {
+			return w.validate(s, in, vj)
+		})
+	})
+	if err == nil && vs != nil {
+		vs.SetInt("trials", int64(vj.trials))
+		vs.SetFloat("target", vj.target)
+		vs.SetBool("hit", hit)
+		vs.SetBool("coalesced", coalesced)
+		vs.SetFloat("delivery_mean", out.report.MeanDeliveryRatio)
 	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return ValidateResponse{}, s.fail(err)
-	}
-	sp, err := parseSpec(req.Scheduler, req.Budget)
-	if err != nil {
-		return ValidateResponse{}, s.fail(err)
-	}
+	return out, hit, coalesced, err
+}
+
+// normalize returns the request's Monte-Carlo parameters: the loss model,
+// the default and capped trial count, and the repair target and slot
+// budget.
+func (req ValidateRequest) normalize() (valJob, error) {
 	model, err := req.Loss.Normalize()
 	if err != nil {
-		return ValidateResponse{}, s.fail(err)
+		return valJob{}, err
 	}
 	trials := req.Trials
 	if trials <= 0 {
 		trials = reliability.DefaultTrials
 	}
 	if trials > MaxValidateTrials {
-		return ValidateResponse{}, s.fail(fmt.Errorf("service: %d trials exceeds the cap of %d", trials, MaxValidateTrials))
+		return valJob{}, fmt.Errorf("service: %d trials exceeds the cap of %d", trials, MaxValidateTrials)
 	}
 	if req.Target < 0 || req.Target > 1 {
-		return ValidateResponse{}, s.fail(fmt.Errorf("service: repair target %v outside [0, 1]", req.Target))
+		return valJob{}, fmt.Errorf("service: repair target %v outside [0, 1]", req.Target)
 	}
 	maxExtra := req.MaxExtraSlots
 	if maxExtra <= 0 {
@@ -117,59 +166,5 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 		// values must not fragment the cache over identical work.
 		maxExtra = 0
 	}
-	r, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		return ValidateResponse{}, s.fail(err)
-	}
-	pkey := planKey(r.digest, sp)
-	s.validations.Add(1)
-
-	// The schedule itself always goes through the plan cache: re-running
-	// the search would not change the Monte-Carlo answer, only waste a
-	// worker.
-	tr := obs.FromContext(ctx)
-	ps := tr.Root().Child("cache")
-	res, planHit, _, err := s.planFor(ctx, pkey, r.in, sp, false, 0)
-	if err != nil {
-		ps.End()
-		return ValidateResponse{}, s.fail(err)
-	}
-	if ps != nil {
-		ps.SetBool("hit", planHit)
-	}
-	ps.End()
-
-	vkey := validateKey(pkey, model, trials, req.Target, maxExtra)
-	vj := &valJob{sched: res.Schedule, model: model, trials: trials, target: req.Target, maxExtra: maxExtra}
-	vs := tr.Root().Child("mc_validate")
-	if vs != nil {
-		vs.SetInt("trials", int64(trials))
-		vs.SetFloat("target", req.Target)
-	}
-	out, hit, coalesced, err := cachedCompute(ctx, s.vcache, vkey, req.NoCache,
-		func(ctx context.Context) (*validateOutcome, error) {
-			return s.dispatchValidate(ctx, vkey, r.in, sp, vj)
-		})
-	if err != nil {
-		vs.End()
-		return ValidateResponse{}, s.fail(err)
-	}
-	if vs != nil {
-		vs.SetBool("hit", hit)
-		vs.SetBool("coalesced", coalesced)
-		if out.report != nil {
-			vs.SetFloat("delivery_mean", out.report.MeanDeliveryRatio)
-		}
-	}
-	vs.End()
-	return ValidateResponse{
-		Digest:       r.digest,
-		Scheduler:    res.Scheduler,
-		Report:       out.report,
-		Repair:       out.repair,
-		PlanCacheHit: planHit,
-		CacheHit:     hit,
-		Coalesced:    coalesced,
-		Elapsed:      time.Since(start),
-	}, nil
+	return valJob{model: model, trials: trials, target: req.Target, maxExtra: maxExtra}, nil
 }
