@@ -95,8 +95,10 @@ func (s *Uniform) MasterSeed() uint64 { return s.master }
 func (s *Uniform) Cycles() int { return s.cycles }
 
 // offset returns the wake offset of node u within cycle c, in [0, r).
-func (s *Uniform) offset(u, c int) int {
-	c %= s.cycles
+func (s *Uniform) offset(u, c int) int { return s.periodOffset(u, c%s.cycles) }
+
+// periodOffset is offset for a cycle c already reduced into [0, cycles).
+func (s *Uniform) periodOffset(u, c int) int {
 	// One splitmix64 step keyed by (seed_u, cycle) is the node's
 	// "predictable pseudo-random sequence": anyone holding seed_u replays it.
 	state := s.seeds[u] ^ (uint64(c)+1)*0x9e3779b97f4a7c15
@@ -292,11 +294,10 @@ func CWT(s Schedule, u, v, t int) int {
 
 // MeanCWT averages CWT(u,v,·) over all of u's wake slots in one period —
 // the proactive estimate a node can compute offline from its neighbor's
-// seed, used by the asynchronous E-model (Eq. 11).
+// seed, used by the asynchronous E-model (Eq. 11). It scans NextAwake
+// generically; for a Uniform schedule, OffsetTable.MeanCWT returns the
+// same value bit for bit from precomputed wake offsets.
 func MeanCWT(s Schedule, u, v int) float64 {
-	if un, ok := s.(*Uniform); ok {
-		return un.meanCWT(u, v)
-	}
 	period := s.Period()
 	sum, count := 0, 0
 	for t := s.NextAwake(u, 0); t < period; t = s.NextAwake(u, t+1) {
@@ -309,29 +310,63 @@ func MeanCWT(s Schedule, u, v int) float64 {
 	return float64(sum) / float64(count)
 }
 
-// meanCWT is MeanCWT specialized to the uniform-per-cycle schedule: u
-// wakes exactly once per cycle, so the generic NextAwake scan collapses to
-// two offset draws per cycle (u's wake, v's next-cycle wake, with v's
-// current-cycle offset carried over). Values are bit-identical to the
-// generic path; this exists because the asynchronous E-model build
-// evaluates it once per directed edge and it dominates duty-cycle
-// scheduling time.
-func (s *Uniform) meanCWT(u, v int) float64 {
-	sum := 0
-	ov := s.offset(v, 0)
-	for c := 0; c < s.cycles; c++ {
-		ovn := s.offset(v, c+1)
-		t := c*s.r + s.offset(u, c)
-		wv := c*s.r + ov
-		if wv <= t {
-			// v's wake this cycle is not strictly after t; the next one is
-			// in cycle c+1 (always ≥ t+1 since t+1 ≤ (c+1)·r).
-			wv = (c+1)*s.r + ovn
-		}
-		sum += wv - t
-		ov = ovn
+// maxOffsetTableEntries caps an OffsetTable at 16 MB, well above the paper's
+// deployments (n = 1000 at the default 1024 cycles is 1M entries) and far
+// below what a hostile cycle count in a decoded instance could demand.
+const maxOffsetTableEntries = 1 << 23
+
+// OffsetTable is a Uniform schedule's wake offsets, precomputed once so the
+// mean CWT of every directed edge is a pass over two rows instead of two
+// seeded draws per cycle. Row u holds offset(u, c) for c in [0, cycles]; the
+// last column is the wrap to the next period's first cycle. The table is
+// immutable once built, so MeanCWT is safe for concurrent use.
+type OffsetTable struct {
+	r      int
+	cycles int
+	// off is row-major, cycles+1 columns per row. uint16 halves the memory
+	// of int32 and measured slightly faster over the per-edge loop.
+	off []uint16
+}
+
+// OffsetTable builds the schedule's offset table, or returns nil when it
+// cannot be represented — r above 65536 or more than 2^23 entries — and
+// callers must fall back to the generic MeanCWT scan.
+func (s *Uniform) OffsetTable() *OffsetTable {
+	n, w := len(s.seeds), s.cycles+1
+	if s.r > 1<<16 || w > maxOffsetTableEntries || n > maxOffsetTableEntries/w {
+		return nil
 	}
-	return float64(sum) / float64(s.cycles)
+	off := make([]uint16, n*w)
+	for u := 0; u < n; u++ {
+		row := off[u*w : (u+1)*w]
+		for c := 0; c < s.cycles; c++ {
+			row[c] = uint16(s.periodOffset(u, c))
+		}
+		row[s.cycles] = row[0]
+	}
+	return &OffsetTable{r: s.r, cycles: s.cycles, off: off}
+}
+
+// MeanCWT returns MeanCWT(s, u, v) for the schedule the table was built
+// from, bit for bit. In cycle c, u wakes at offset ou[c]; v's next wake
+// strictly after it is ov[c] in the same cycle when d = ov[c]−ou[c] > 0,
+// and otherwise ov[c+1] in the next cycle, a wait of d + r + ov[c+1] −
+// ov[c]. The integer sum is divided once, exactly as the generic scan does.
+//
+//mlbs:hotpath -- runs once per directed edge of every duty-cycle E-model build
+func (t *OffsetTable) MeanCWT(u, v int) float64 {
+	w := t.cycles + 1
+	ou := t.off[u*w : u*w+t.cycles]
+	ov := t.off[v*w : (v+1)*w]
+	cur, next := ov[:len(ou)], ov[1:len(ou)+1]
+	r, sum := t.r, 0
+	for c, o := range ou {
+		a := int(cur[c])
+		d := a - int(o)
+		// (d−1)>>63 is all ones exactly when d ≤ 0: branchless select.
+		sum += d + ((d-1)>>63)&(r+int(next[c])-a)
+	}
+	return float64(sum) / float64(t.cycles)
 }
 
 // WakeSlotsInWindow lists u's wake slots in [from, to), mainly for tests

@@ -101,16 +101,27 @@ type Weight func(u, v graph.NodeID) float64
 func HopWeight(u, v graph.NodeID) float64 { return 1 }
 
 // CWTWeight returns the asynchronous weight for schedule s: the mean cycle
-// waiting time u observes before v can forward (Eq. 11's t(u,v)).
+// waiting time u observes before v can forward (Eq. 11's t(u,v)). For the
+// paper's Uniform schedule it builds every node's wake-offset row up front,
+// so the returned Weight is a pure function over an immutable table and is
+// safe to share; other schedules (and tables too large to build) scan the
+// schedule generically per evaluation.
 func CWTWeight(s dutycycle.Schedule) Weight {
+	if un, ok := s.(*dutycycle.Uniform); ok {
+		if tab := un.OffsetTable(); tab != nil {
+			return tab.MeanCWT
+		}
+	}
 	return func(u, v graph.NodeID) float64 { return dutycycle.MeanCWT(s, u, v) }
 }
 
 // weightCache memoizes a Weight per directed edge. The duty-cycle weight
-// (mean CWT) walks a full schedule period per evaluation, and relaxation
-// queries each edge once per quadrant per pass — up to eight times — so
-// Build evaluates through this cache instead. cost[v][j] stores
-// w(adj(v)[j], v), the direction relaxQuadrant asks for; NaN marks unset.
+// (mean CWT) costs a pass over one schedule period per evaluation — a
+// cycle loop over two table rows, or a NextAwake scan for schedules without
+// a table — and relaxation queries each edge once per quadrant per pass (up
+// to eight times), so Build evaluates through this cache instead.
+// cost[v][j] stores w(adj(v)[j], v), the direction relaxQuadrant asks for;
+// NaN marks unset.
 type weightCache struct {
 	g    *graph.Graph
 	w    Weight

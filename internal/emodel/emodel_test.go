@@ -255,3 +255,59 @@ func BenchmarkBuildSync300(b *testing.B) {
 		_ = BuildSync(d.G)
 	}
 }
+
+// TestCWTWeightMatchesScan is the oracle for the Uniform offset table: over
+// random node counts, rates, period lengths and seeds, the tabled weight
+// equals the generic NextAwake scan bit for bit on every directed pair.
+func TestCWTWeightMatchesScan(t *testing.T) {
+	src := rng.New(2012)
+	for _, r := range []int{1, 2, 3, 10, 50, 300} {
+		for _, cycles := range []int{1, 2, 7, 0} {
+			for trial := 0; trial < 3; trial++ {
+				n := 2 + src.Intn(8)
+				s := dutycycle.NewUniform(n, r, src.Uint64(), cycles)
+				if s.OffsetTable() == nil {
+					t.Fatalf("r=%d cycles=%d n=%d: no offset table", r, cycles, n)
+				}
+				w := CWTWeight(s)
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						got, want := w(u, v), dutycycle.MeanCWT(s, u, v)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("r=%d cycles=%d n=%d: weight(%d,%d) = %v, scan %v", r, cycles, n, u, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCWTWeightWithoutTable checks the fallback for schedules whose offsets
+// do not fit the table: the weight is still the generic scan.
+func TestCWTWeightWithoutTable(t *testing.T) {
+	for _, s := range []*dutycycle.Uniform{
+		dutycycle.NewUniform(3, 1<<16+1, 9, 2), // offsets above uint16
+		dutycycle.NewUniform(2, 2, 9, 1<<22),   // more than 2^23 entries
+	} {
+		if s.OffsetTable() != nil {
+			t.Fatalf("r=%d cycles=%d: offset table built past its limits", s.Rate(), s.Cycles())
+		}
+		w := CWTWeight(s)
+		if got, want := w(0, 1), dutycycle.MeanCWT(s, 0, 1); got != want {
+			t.Fatalf("r=%d cycles=%d: weight %v, scan %v", s.Rate(), s.Cycles(), got, want)
+		}
+	}
+}
+
+func BenchmarkBuildAsync100(b *testing.B) {
+	d, err := topology.Generate(topology.PaperConfig(100), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := dutycycle.NewUniform(100, 10, 1^0xA5, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = BuildAsync(d.G, s)
+	}
+}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"mlbs/internal/graphio"
@@ -69,7 +70,9 @@ func TestDigestConsistencyProperty(t *testing.T) {
 		if byGen.Digest != want.String() || byInst.Digest != want.String() {
 			t.Fatalf("%+v: plan digests %s (generator) and %s (instance), want %s", gen, byGen.Digest, byInst.Digest, want)
 		}
-		if !byInst.CacheHit || byInst.Result != byGen.Result || svc.Metrics().Searches != searches {
+		// Plans are materialized per read, so the two answers are equal
+		// values rather than one shared pointer.
+		if !byInst.CacheHit || !reflect.DeepEqual(byInst.Result, byGen.Result) || svc.Metrics().Searches != searches {
 			t.Fatalf("%+v: explicit instance did not hit the generator's plan-cache entry (hit=%v)", gen, byInst.CacheHit)
 		}
 	}

@@ -62,9 +62,8 @@ type replanOutcome struct {
 
 // replan runs one repair on the worker's reusable replanner (which wraps
 // the same per-spec engine the worker's plan searches use — one
-// goroutine, one arena set). basePlan is shared and immutable; the
-// replanner never mutates it.
-func (w *worker) replan(s *Service, tr *obs.Trace, in core.Instance, sp spec, basePlan *core.Schedule, delta churn.Delta) (*replanOutcome, error) {
+// goroutine, one arena set), materializing the packed base plan first.
+func (w *worker) replan(s *Service, tr *obs.Trace, in core.Instance, sp spec, base core.Packed, delta churn.Delta) (*replanOutcome, error) {
 	span := tr.Root().Child("repair")
 	defer span.End()
 	sp = resolveSpec(sp, in)
@@ -73,7 +72,7 @@ func (w *worker) replan(s *Service, tr *obs.Trace, in core.Instance, sp spec, ba
 		rp = churn.NewReplanner(churn.ReplanConfig{Scheduler: w.scheduler(sp)})
 		w.replanners[sp] = rp
 	}
-	rr, err := rp.Replan(in, basePlan, delta)
+	rr, err := rp.Replan(in, base.Result().Schedule, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +150,7 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 				baseHit = planHit
 				tr := obs.FromContext(ctx)
 				return onWorker(ctx, s, rkey, func(w *worker) (*replanOutcome, error) {
-					return w.replan(s, tr, b.in, sp, base.Schedule, req.Delta)
+					return w.replan(s, tr, b.in, sp, base, req.Delta)
 				})
 			})
 		if err != nil {
@@ -172,7 +171,7 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 				// only: they are valid but possibly suboptimal, and a Plan
 				// request for an exactness-claiming scheduler must never be
 				// answered with one.
-				s.cache.Put(planKey(out.digest, sp), out.res)
+				s.cache.Put(planKey(out.digest, sp), core.Pack(out.res))
 			}
 		}
 		return ReplanResponse{
@@ -191,14 +190,12 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	})
 }
 
-// basePlan is Replan's extra step: the base instance's plan through the
-// plan cache, under a "base_plan" span recording whether it hit.
-func (s *Service) basePlan(ctx context.Context, pkey string, in core.Instance, sp spec) (*core.Result, bool, error) {
+// basePlan is Replan's extra step: the base instance's packed plan through
+// the plan cache, under a "base_plan" span recording whether it hit.
+func (s *Service) basePlan(ctx context.Context, pkey string, in core.Instance, sp spec) (core.Packed, bool, error) {
 	bs := obs.FromContext(ctx).Root().Child("base_plan")
 	defer bs.End()
-	res, hit, _, err := cachedCompute(ctx, s.cache, pkey, false, func(ctx context.Context) (*core.Result, error) {
-		return s.searchOn(ctx, pkey, in, sp, 0)
-	})
+	p, hit, _, err := cachedCompute(ctx, s.cache, pkey, false, s.planFill(pkey, in, sp, 0, nil))
 	bs.SetBool("hit", hit)
-	return res, hit, err
+	return p, hit, err
 }

@@ -25,8 +25,11 @@
 // the instance together with its broadcast and "agg"-tagged digests, so a
 // warm generator hit costs two map probes and no pass over the instance.
 //
-// Results handed out by the service are shared and immutable: callers must
-// not modify the schedules they receive.
+// The plan cache keeps every plan packed (core.Packed, a few hundred bytes)
+// and materializes a fresh *core.Result per read, so a caller owns the plan
+// it receives. The other caches' answers (reliability reports, repairs,
+// convergecast plans) are shared and immutable: callers must not modify
+// them.
 package service
 
 import (
@@ -192,7 +195,7 @@ type WorkloadRequest struct {
 	ImproveBudget time.Duration
 }
 
-// Response is one plan answer. Result is shared and immutable.
+// Response is one plan answer. Result is immutable, fresh per read.
 type Response struct {
 	Digest    string
 	Scheduler string
@@ -295,11 +298,8 @@ func parseSpec(name string, budget int) (spec, error) {
 	}
 }
 
-// valJob carries one Monte-Carlo validation: the (shared, immutable)
-// schedule to replay plus the loss-model parameters. Repair never mutates
-// the schedule it is given; it clones before appending.
+// valJob carries one Monte-Carlo validation's loss-model parameters.
 type valJob struct {
-	sched    *core.Schedule
 	model    reliability.LossModel
 	trials   int
 	target   float64
@@ -361,13 +361,16 @@ func onWorker[V any](ctx context.Context, s *Service, key string, fn func(*worke
 // validate runs one Monte-Carlo validation on the worker's reusable
 // estimator. Trials run single-threaded here — the pool provides the
 // concurrency across requests, and the report is identical either way.
-func (w *worker) validate(s *Service, in core.Instance, v valJob) (*validateOutcome, error) {
+// The packed plan's schedule is materialized here, so only a report that
+// is actually computed pays for it; Repair never mutates the schedule.
+func (w *worker) validate(s *Service, in core.Instance, plan core.Packed, v valJob) (*validateOutcome, error) {
 	if w.est == nil {
 		w.est = reliability.NewEstimator()
 	}
+	sched := plan.Result().Schedule
 	out := &validateOutcome{}
 	if v.target > 0 {
-		rr, err := w.est.Repair(in, v.sched, v.model, reliability.RepairConfig{
+		rr, err := w.est.Repair(in, sched, v.model, reliability.RepairConfig{
 			Target:        v.target,
 			Trials:        v.trials,
 			Workers:       1,
@@ -378,7 +381,7 @@ func (w *worker) validate(s *Service, in core.Instance, v valJob) (*validateOutc
 		}
 		out.report, out.repair = rr.After, rr
 	} else {
-		rep, err := w.est.Estimate(in, v.sched, v.model, reliability.Config{Trials: v.trials, Workers: 1})
+		rep, err := w.est.Estimate(in, sched, v.model, reliability.Config{Trials: v.trials, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -544,7 +547,7 @@ func newScheduler(sp spec) core.Scheduler {
 // Service serves broadcast plans concurrently. Build with New; Close when
 // done.
 type Service struct {
-	cache   *plancache.Cache[*core.Result]
+	cache   *plancache.Cache[core.Packed]
 	gens    *plancache.Cache[resolved]
 	vcache  *plancache.Cache[*validateOutcome]
 	rcache  *plancache.Cache[*replanOutcome]
@@ -609,7 +612,7 @@ func New(cfg Config) *Service {
 		cfg.QueueDepth = 16
 	}
 	s := &Service{
-		cache:  plancache.New[*core.Result](cfg.CacheCapacity, cacheShards),
+		cache:  plancache.New[core.Packed](cfg.CacheCapacity, cacheShards),
 		gens:   plancache.New[resolved](genCacheCapacity, 4),
 		vcache: plancache.New[*validateOutcome](validateCacheCapacity, 8),
 		rcache: plancache.New[*replanOutcome](replanCacheCapacity, 8),
@@ -664,37 +667,40 @@ func (s *Service) upgrade(imp *improve.Improver, jb improveJob) {
 	if !ok || cur.Exact {
 		return
 	}
+	base := cur.Result()
 	publish := func(sched *core.Schedule, exact bool) {
-		s.cache.Update(jb.key, func(res *core.Result) (*core.Result, bool) {
-			if sched.End() >= res.Schedule.End() {
+		// Packed here, before the shard lock: Update only compares header
+		// fields and swaps values.
+		up := *base
+		up.Schedule = sched
+		up.PA = sched.End()
+		up.Improved = true
+		up.Exact = exact
+		next := core.Pack(&up)
+		s.cache.Update(jb.key, func(res core.Packed) (core.Packed, bool) {
+			if next.End >= res.End {
 				// A concurrent writer (another budget's cold compute, a
 				// replan publication) got here with an equal or better
 				// plan; never regress, never bump the generation for a
 				// non-improvement.
-				if exact && sched.End() == res.Schedule.End() && !res.Exact {
-					next := *res
-					next.Exact = true
-					return &next, true
+				if exact && next.End == res.End && !res.Exact {
+					res.Exact = true
+					return res, true
 				}
 				return res, false
 			}
-			next := *res
-			next.Schedule = sched
-			next.PA = sched.End()
 			next.Generation = res.Generation + 1
-			next.Improved = true
-			next.Exact = exact
 			s.improvements.Add(1)
-			s.improveSlotsSaved.Add(int64(res.Schedule.End() - sched.End()))
+			s.improveSlotsSaved.Add(int64(res.End - next.End))
 			b := next.Generation
 			if b >= improveGenBuckets {
 				b = improveGenBuckets - 1
 			}
 			s.genHist[b].Add(1)
-			return &next, true
+			return next, true
 		})
 	}
-	out, st, err := imp.Improve(jb.in, cur.Schedule, improve.Options{
+	out, st, err := imp.Improve(jb.in, base.Schedule, improve.Options{
 		Deadline: jb.budget,
 		OnImprove: func(sched *core.Schedule, snap improve.Stats) {
 			publish(sched, false)
@@ -909,13 +915,25 @@ func cacheStep[V any](ctx context.Context, c *plancache.Cache[V], key string, no
 	return val, hit, coalesced, err
 }
 
-// searchOn computes the plan behind key: one search on key's worker. The
+// planFill computes the plan behind key for the plan cache: one search on
+// key's worker, packed for storage. When fresh is not nil, the caller whose
+// fill actually ran (the singleflight leader, or a NoCache caller) also
+// gets the Result itself in *fresh and serves it without unpacking. The
 // caller's trace rides the closure onto the worker.
-func (s *Service) searchOn(ctx context.Context, key string, in core.Instance, sp spec, budget time.Duration) (*core.Result, error) {
-	tr := obs.FromContext(ctx)
-	return onWorker(ctx, s, key, func(w *worker) (*core.Result, error) {
-		return w.plan(s, tr, in, sp, budget)
-	})
+func (s *Service) planFill(key string, in core.Instance, sp spec, budget time.Duration, fresh **core.Result) func(context.Context) (core.Packed, error) {
+	return func(ctx context.Context) (core.Packed, error) {
+		tr := obs.FromContext(ctx)
+		res, err := onWorker(ctx, s, key, func(w *worker) (*core.Result, error) {
+			return w.plan(s, tr, in, sp, budget)
+		})
+		if err != nil {
+			return core.Packed{}, err
+		}
+		if fresh != nil {
+			*fresh = res
+		}
+		return core.Pack(res), nil
+	}
 }
 
 // Plan answers one request: from the cache when the instance has been
@@ -933,21 +951,23 @@ func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, erro
 		}
 		key := planKey(r.digest, sp)
 		s.requests.Add(1)
-		res, hit, coalesced, err := cacheStep(ctx, s.cache, key, req.NoCache,
-			func(ctx context.Context) (*core.Result, error) {
-				return s.searchOn(ctx, key, r.in, sp, req.ImproveBudget)
-			})
-		elapsed := time.Since(start)
+		var res *core.Result
+		p, hit, coalesced, err := cacheStep(ctx, s.cache, key, req.NoCache,
+			s.planFill(key, r.in, sp, req.ImproveBudget, &res))
 		if err != nil {
 			return Response{}, err
 		}
+		if res == nil {
+			res = p.Result()
+		}
+		elapsed := time.Since(start)
 		if hit {
 			s.hitHist.observe(elapsed)
 			// Serve best-so-far instantly, improve in the background: a warm
 			// hit with a budget never pays for its own improvement, it funds
 			// the next reader's. Already-exact plans have nothing left.
-			if req.ImproveBudget > 0 && !res.Exact {
-				s.enqueueImprove(ctx, key, r.in, req.ImproveBudget, res.Generation)
+			if req.ImproveBudget > 0 && !p.Exact {
+				s.enqueueImprove(ctx, key, r.in, req.ImproveBudget, p.Generation)
 			}
 		} else {
 			s.missHist.observe(elapsed)

@@ -90,22 +90,19 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 		// The schedule itself always goes through the plan cache: re-running
 		// the search would not change the Monte-Carlo answer, only waste a
 		// worker.
-		res, planHit, _, err := cacheStep(ctx, s.cache, pkey, false,
-			func(ctx context.Context) (*core.Result, error) {
-				return s.searchOn(ctx, pkey, r.in, sp, 0)
-			})
+		// Only the packed plan is kept: its schedule is materialized on the
+		// worker, and only when the report is not cached.
+		plan, planHit, _, err := cacheStep(ctx, s.cache, pkey, false, s.planFill(pkey, r.in, sp, 0, nil))
 		if err != nil {
 			return ValidateResponse{}, err
 		}
-		vj.sched = res.Schedule
-
-		out, hit, coalesced, err := s.monteCarlo(ctx, validateKey(pkey, vj), r.in, vj, req.NoCache)
+		out, hit, coalesced, err := s.monteCarlo(ctx, validateKey(pkey, vj), r.in, plan, vj, req.NoCache)
 		if err != nil {
 			return ValidateResponse{}, err
 		}
 		return ValidateResponse{
 			Digest:       r.digest,
-			Scheduler:    res.Scheduler,
+			Scheduler:    plan.Scheduler,
 			Report:       out.report,
 			Repair:       out.repair,
 			PlanCacheHit: planHit,
@@ -119,13 +116,13 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 // monteCarlo is Validate's extra step: the Monte-Carlo outcome for vkey
 // from the reliability cache, or by one validation on vkey's worker, under
 // an "mc_validate" span.
-func (s *Service) monteCarlo(ctx context.Context, vkey string, in core.Instance, vj valJob, noCache bool) (
+func (s *Service) monteCarlo(ctx context.Context, vkey string, in core.Instance, plan core.Packed, vj valJob, noCache bool) (
 	out *validateOutcome, hit, coalesced bool, err error) {
 	vs := obs.FromContext(ctx).Root().Child("mc_validate")
 	defer vs.End()
 	out, hit, coalesced, err = cachedCompute(ctx, s.vcache, vkey, noCache, func(ctx context.Context) (*validateOutcome, error) {
 		return onWorker(ctx, s, vkey, func(w *worker) (*validateOutcome, error) {
-			return w.validate(s, in, vj)
+			return w.validate(s, in, plan, vj)
 		})
 	})
 	if err == nil && vs != nil {
