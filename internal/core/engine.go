@@ -1,11 +1,12 @@
 package core
 
 // Engine is a reusable search scheduler: it runs the same branch-and-bound
-// as its parent Search but keeps the frame arena, bitset pool, BFS buffers
-// and memo storage across calls, so a warm engine schedules instance after
-// instance without re-growing its arenas — the serving layer's per-worker
-// allocation discipline. Results returned from an Engine are immutable;
-// the engine never writes into a schedule it has handed out.
+// as its parent Search but keeps the frame arena, bitset pool, hop-bound
+// level sets and memo storage across calls, so a warm engine schedules
+// instance after instance without re-growing its arenas — the serving
+// layer's per-worker allocation discipline. Results returned from an
+// Engine are immutable; the engine never writes into a schedule it has
+// handed out.
 //
 // An Engine is NOT safe for concurrent use. Give each worker goroutine its
 // own (the service layer does exactly that); the parent Search remains

@@ -3,50 +3,8 @@ package core
 import (
 	"testing"
 
-	"mlbs/internal/dutycycle"
 	"mlbs/internal/topology"
 )
-
-// TestEngineMatchesSearch pins the reusable engine's contract: a single
-// Engine driven across many instances — different sizes, seeds, and wake
-// systems, in an order that forces arena re-binding — returns exactly what
-// a fresh Search returns for each.
-func TestEngineMatchesSearch(t *testing.T) {
-	en := NewGOPT(0).NewEngine()
-	for _, tc := range []struct {
-		n    int
-		seed uint64
-		r    int
-	}{
-		{60, 1, 0}, {100, 2, 0}, {60, 3, 5}, {100, 2, 0}, {60, 1, 0},
-	} {
-		dep, err := topology.Generate(topology.PaperConfig(tc.n), tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var in Instance
-		if tc.r > 1 {
-			in = Async(dep.G, dep.Source, dutycycle.NewUniform(tc.n, tc.r, tc.seed^0xA5, 0), 0)
-		} else {
-			in = Sync(dep.G, dep.Source)
-		}
-		want, err := NewGOPT(0).Schedule(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := en.Schedule(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.PA != want.PA || got.Exact != want.Exact {
-			t.Errorf("n=%d seed=%d r=%d: engine PA=%d exact=%v, search PA=%d exact=%v",
-				tc.n, tc.seed, tc.r, got.PA, got.Exact, want.PA, want.Exact)
-		}
-		if err := got.Schedule.Validate(in); err != nil {
-			t.Errorf("n=%d seed=%d r=%d: engine schedule invalid: %v", tc.n, tc.seed, tc.r, err)
-		}
-	}
-}
 
 // TestEngineResultsSurviveReuse guards the aliasing hazard of engine
 // reuse: the incumbent buffer a Result's advances were materialized into

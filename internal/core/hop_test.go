@@ -1,0 +1,162 @@
+package core
+
+import (
+	"testing"
+
+	"mlbs/internal/bitset"
+	"mlbs/internal/geom"
+	"mlbs/internal/graph"
+	"mlbs/internal/rng"
+	"mlbs/internal/topology"
+)
+
+// refMaxHop is the hop bound taken the long way: the largest
+// graph.MultiSourceBFS distance over uncovered nodes, inf when one is
+// unreachable.
+func refMaxHop(g *graph.Graph, w bitset.Set) int {
+	dist, _ := g.MultiSourceBFS(w, nil, nil)
+	max := 0
+	for v, d := range dist {
+		if w.Has(v) {
+			continue
+		}
+		if d < 0 {
+			return inf
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// randomTree joins node i to a uniformly drawn earlier node, so every hop
+// depth from 1 to n−1 is possible.
+func randomTree(n int, r *rng.Source) *graph.Graph {
+	b := graph.NewBuilder(n, nil)
+	for i := 1; i < n; i++ {
+		b.AddEdge(i, r.Intn(i))
+	}
+	return b.Build()
+}
+
+// randomCover returns a coverage set holding src plus each other node with
+// probability p.
+func randomCover(n, src int, p float64, r *rng.Source) bitset.Set {
+	w := bitset.New(n)
+	w.Add(src)
+	for v := 0; v < n; v++ {
+		if r.Float64() < p {
+			w.Add(v)
+		}
+	}
+	return w
+}
+
+// TestMaxHopMatchesBFS cross-checks the bit-parallel hop bound against the
+// queue BFS it replaced, on one engine rebound across sizes that straddle
+// word boundaries (partial and exact last words), over random trees, paper
+// deployments and disconnected unit-disk graphs, with random, empty, single
+// and full coverage.
+func TestMaxHopMatchesBFS(t *testing.T) {
+	r := rng.New(17)
+	var e *engine
+	check := func(name string, g *graph.Graph, w bitset.Set) {
+		t.Helper()
+		in := Sync(g, 0)
+		if e == nil {
+			e = newEngine(in, SearchConfig{})
+		} else {
+			e.reset(in, SearchConfig{})
+		}
+		if got, want := e.maxHop(w), refMaxHop(g, w); got != want {
+			t.Errorf("%s n=%d |w|=%d: maxHop=%d, BFS=%d", name, g.N(), w.Len(), got, want)
+		}
+	}
+	covers := func(name string, g *graph.Graph, src int) {
+		t.Helper()
+		n := g.N()
+		check(name+"/source", g, bitset.FromMembers(n, src))
+		check(name+"/empty", g, bitset.New(n))
+		full := bitset.New(n)
+		for v := 0; v < n; v++ {
+			full.Add(v)
+		}
+		check(name+"/full", g, full)
+		if got := e.maxHop(full); got != 0 {
+			t.Errorf("%s n=%d: full coverage maxHop=%d, want 0", name, n, got)
+		}
+		for _, p := range []float64{0.02, 0.1, 0.3, 0.6, 0.9} {
+			for i := 0; i < 4; i++ {
+				check(name+"/random", g, randomCover(n, src, p, r))
+			}
+		}
+	}
+
+	for _, n := range []int{1, 2, 63, 64, 65, 128, 150, 300} {
+		for trial := 0; trial < 3; trial++ {
+			g := randomTree(n, r)
+			covers("tree", g, r.Intn(n))
+		}
+		if n >= 2 {
+			// A tree over all but the last node, which stays isolated:
+			// unreachable from any coverage that misses it.
+			b := graph.NewBuilder(n, nil)
+			for i := 1; i < n-1; i++ {
+				b.AddEdge(i, r.Intn(i))
+			}
+			g := b.Build()
+			check("isolated", g, randomCover(n, 0, 0.3, r))
+			if w := bitset.FromMembers(n, 0); refMaxHop(g, w) != inf || e.maxHop(w) != inf {
+				t.Errorf("isolated n=%d: want inf from the tree side", n)
+			}
+			check("isolated/covered", g, bitset.FromMembers(n, 0, n-1))
+		}
+		if n >= 63 {
+			for seed := uint64(1); seed <= 3; seed++ {
+				dep, err := topology.Generate(topology.PaperConfig(n), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				covers("paper", dep.G, dep.Source)
+			}
+			// A sparse unit-disk graph: almost surely several components.
+			pos := make([]geom.Point, n)
+			for i := range pos {
+				pos[i] = geom.Point{X: r.InRange(0, 200), Y: r.InRange(0, 200)}
+			}
+			g := graph.FromUDG(pos, 10)
+			if g.Connected() {
+				t.Fatalf("n=%d: sparse unit-disk graph is connected; pick a sparser area", n)
+			}
+			covers("disconnected", g, 0)
+		}
+	}
+}
+
+// BenchmarkMaxHop times the hop bound alone on an n=300 paper deployment
+// whose coverage is the state after the first few E-model advances — a
+// typical early-search state of a cold sync plan.
+func BenchmarkMaxHop(b *testing.B) {
+	dep, err := topology.Generate(topology.PaperConfig(300), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := Sync(dep.G, dep.Source)
+	res, err := NewEModel(0).Schedule(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := in.initialCoverage()
+	for _, a := range res.Schedule.Advances[:3] {
+		for _, v := range a.Covered {
+			w.Add(v)
+		}
+	}
+	e := newEngine(in, SearchConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.maxHop(w)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"mlbs/internal/bitset"
@@ -124,8 +125,9 @@ type engine struct {
 	stack   []pendingAdvance
 	pool    *bitset.Pool
 	frames  []*frame
-	distBuf []int
-	quBuf   []graph.NodeID
+	// Level bitsets of maxHop: the nodes not yet reached, the current BFS
+	// frontier and the level being built. Sized to n with the frame arena.
+	hopLeft, hopFront, hopNext bitset.Set
 	// Channelized-commit scratch: the initial coverage and the two working
 	// sets commitBest uses to re-derive per-channel coverage attribution.
 	w0        bitset.Set
@@ -163,24 +165,30 @@ func newEngine(in Instance, cfg SearchConfig) *engine {
 		budget: cfg.Budget,
 		pool:   bitset.NewPool(),
 	}
+	e.sizeHop()
 	e.oracle = in.Oracle(&e.ib)
 	return e
 }
 
+// sizeHop allocates maxHop's level bitsets for the bound node count.
+func (e *engine) sizeHop() {
+	e.hopLeft, e.hopFront, e.hopNext = bitset.New(e.n), bitset.New(e.n), bitset.New(e.n)
+}
+
 // reset rebinds a used engine to a new instance while keeping every arena
 // that can survive: the bitset pool always carries over (it is binned by
-// word count), and the frame arena, BFS buffers and memo storage carry
-// over whenever the node count is unchanged. The incumbent slice is
+// word count), and the frame arena, hop-bound level sets and memo storage
+// carry over whenever the node count is unchanged. The incumbent slice is
 // detached, not truncated — the previous Result still aliases it.
 func (e *engine) reset(in Instance, cfg SearchConfig) {
 	n := in.G.N()
 	if n != e.n {
 		e.frames = nil
-		e.distBuf, e.quBuf = nil, nil
+		e.n = n
+		e.sizeHop()
 	}
 	e.in = in
 	e.cfg = cfg
-	e.n = n
 	e.k = in.K()
 	e.period = in.Wake.Period()
 	e.memo.reset()
@@ -318,24 +326,51 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 
 // maxHop returns the largest hop distance from coverage w to any uncovered
 // node — the admissible lower bound on remaining advances (each advance
-// extends coverage by at most one hop).
+// extends coverage by at most one hop) — or inf when some node is
+// unreachable. It is a multi-source BFS run level by level over the
+// neighbor bitsets, bottom-up: each level adds every node still left whose
+// neighbor row meets the frontier, so a node costs a few-word AND with an
+// early exit rather than a walk over its adjacency list. Level l holds
+// exactly the nodes at hop distance l, so the level count is the queue
+// BFS's maximum distance.
+//
+//mlbs:hotpath -- evaluated at the top of every dfs call, memo hits and pruned children included
 func (e *engine) maxHop(w bitset.Set) int {
-	var dist []int
-	dist, e.quBuf = e.in.G.MultiSourceBFS(w, e.distBuf, e.quBuf)
-	e.distBuf = dist
-	max := 0
-	for v, d := range dist {
-		if w.Has(v) {
-			continue
-		}
-		if d < 0 {
-			return inf // unreachable; cannot complete
-		}
-		if d > max {
-			max = d
-		}
+	left, front, next := e.hopLeft, e.hopFront, e.hopNext
+	for i, x := range w {
+		left[i] = ^x
 	}
-	return max
+	if r := e.n % 64; r != 0 {
+		left[len(left)-1] &= 1<<uint(r) - 1
+	}
+	if left.Empty() {
+		return 0
+	}
+	front.CopyFrom(w)
+	g := e.in.G
+	for level := 1; ; level++ {
+		var grew, rest uint64
+		for i, x := range left {
+			var add uint64
+			for m := x; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				if g.Nbr(i*64 + b).Intersects(front) {
+					add |= 1 << uint(b)
+				}
+			}
+			next[i] = add
+			left[i] = x &^ add
+			grew |= add
+			rest |= x &^ add
+		}
+		if grew == 0 {
+			return inf // the rest is unreachable; cannot complete
+		}
+		if rest == 0 {
+			return level
+		}
+		front, next = next, front
+	}
 }
 
 // moves generates the color sets available at slot among the awake

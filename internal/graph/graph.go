@@ -311,9 +311,9 @@ func (g *Graph) BFS(s NodeID) []int {
 
 // MultiSourceBFS returns, for every node, the hop distance to the nearest
 // node in the sources set; nodes in sources get 0, unreachable nodes -1.
-// dist may be nil, in which case a fresh slice is allocated; passing a
-// reusable buffer keeps the scheduler's lower-bound computation
-// allocation-free.
+// dist may be nil, in which case a fresh slice is allocated; passing
+// reusable buffers keeps repeated calls allocation-free. The search's
+// bit-parallel hop bound is tested against it.
 func (g *Graph) MultiSourceBFS(sources bitset.Set, dist []int, queue []NodeID) ([]int, []NodeID) {
 	n := g.N()
 	if dist == nil {
