@@ -1,5 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablations called out in DESIGN.md §7. Figure
+// evaluation, plus the pipelining ablation of DESIGN.md §7 (the
+// selection, E-seeding and budget ablations sit with the schedulers, in
+// internal/core). Figure
 // benches run a reduced sweep (2 trials, 3 densities) per iteration so
 // `go test -bench=.` stays tractable; the full-size series are produced by
 // cmd/mlb-sweep and recorded in EXPERIMENTS.md. Custom metrics attach the
@@ -74,7 +76,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var fig *mlbs.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		if fig, err = mlbs.Figure5(cfg); err != nil {
+		if fig, err = mlbs.FigureByID(5, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +100,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var fig *mlbs.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		if fig, err = mlbs.Figure7(cfg); err != nil {
+		if fig, err = mlbs.FigureByID(7, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,58 +219,6 @@ func BenchmarkAblationPipeline(b *testing.B) {
 	in := syncInstance300(b)
 	b.Run("pipelined", func(b *testing.B) { benchScheduler(b, in, mlbs.EModel()) })
 	b.Run("layer-blocked", func(b *testing.B) { benchScheduler(b, in, mlbs.Baseline26()) })
-}
-
-// Ablation: E seeding — Algorithm 2's edge-first two-pass versus the
-// one-pass variant that seeds every empty-quadrant node immediately.
-func BenchmarkAblationESeeding(b *testing.B) {
-	in := syncInstance300(b)
-	b.Run("two-pass", func(b *testing.B) { benchScheduler(b, in, mlbs.EModel()) })
-	b.Run("one-pass", func(b *testing.B) { benchScheduler(b, in, mlbs.EModelOnePass()) })
-}
-
-// Ablation: color-selection rule — Eq. 10's max-E versus utilization-greedy
-// and plain first-color selection.
-func BenchmarkAblationSelection(b *testing.B) {
-	in := syncInstance300(b)
-	b.Run("max-E", func(b *testing.B) { benchScheduler(b, in, mlbs.EModel()) })
-	b.Run("max-coverage", func(b *testing.B) { benchScheduler(b, in, mlbs.MaxCoverage()) })
-	b.Run("first-color", func(b *testing.B) { benchScheduler(b, in, mlbs.FirstColor()) })
-}
-
-// Ablation: search budget — how much optimality proof G-OPT buys per state.
-func BenchmarkAblationBudget(b *testing.B) {
-	in := dutyInstance300(b, 10)
-	for _, budget := range []int{10, 1_000, 100_000} {
-		budget := budget
-		b.Run(byBudget(budget), func(b *testing.B) {
-			var res *mlbs.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				if res, err = mlbs.GOPTBudget(budget).Schedule(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Schedule.Latency()), "latency")
-			exact := 0.0
-			if res.Exact {
-				exact = 1
-			}
-			b.ReportMetric(exact, "exact")
-		})
-	}
-}
-
-func byBudget(budget int) string {
-	switch {
-	case budget >= 1_000_000:
-		return "budget-1M"
-	case budget >= 100_000:
-		return "budget-100k"
-	case budget >= 1_000:
-		return "budget-1k"
-	}
-	return "budget-10"
 }
 
 // Localized future-work scheme at paper scale.

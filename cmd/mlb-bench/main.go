@@ -565,11 +565,12 @@ func checkedGOPT(in mlbs.Instance) (*mlbs.Result, int64, error) {
 // request trace attached (which also switches the engine to its
 // depth-profiled search). The span count of a traced cold plan is a
 // deterministic function of the request shape; the wall-clock overhead is
-// the number the <2% design target speaks to. The two modes run in
-// INTERLEAVED best-of-three rounds (disabled, enabled, disabled, ...): a
-// noisy neighbour on a shared runner then taxes both modes instead of
-// poisoning one side of the ratio, and the per-mode minimum is the round
-// with the least interference.
+// the number the <2% design target speaks to. It is measured in paired
+// rounds: each round times both modes back to back, alternating which
+// runs first, and the overhead is the median of the rounds' enabled/
+// disabled ratios. A noisy neighbour on a shared runner then taxes both
+// halves of a pair instead of one side of the ratio, neither side always
+// runs first, and a round that a stall skews anyway is outvoted.
 func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 	if reqs < 8 {
 		reqs = 8
@@ -613,33 +614,39 @@ func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 	if err != nil {
 		return obsRecord{}, err
 	}
-	var disabledNs, enabledNs int64
-	for round := 0; round < 3; round++ {
-		d, _, _, err := measure(reqs, sendDisabled)
+	const rounds = 9
+	var disabled, enabled, ratios [rounds]float64
+	for round := range rounds {
+		first, second := sendDisabled, sendEnabled
+		if round%2 == 1 {
+			first, second = sendEnabled, sendDisabled
+		}
+		a, _, _, err := measure(reqs, first)
 		if err != nil {
 			return obsRecord{}, err
 		}
-		e, _, _, err := measure(reqs, sendEnabled)
+		b, _, _, err := measure(reqs, second)
 		if err != nil {
 			return obsRecord{}, err
 		}
-		if disabledNs == 0 || d < disabledNs {
-			disabledNs = d
+		if round%2 == 1 {
+			a, b = b, a
 		}
-		if enabledNs == 0 || e < enabledNs {
-			enabledNs = e
-		}
+		disabled[round], enabled[round] = float64(a), float64(b)
+		ratios[round] = float64(b) / float64(max(a, 1))
+	}
+	median := func(v [rounds]float64) float64 {
+		slices.Sort(v[:])
+		return v[rounds/2]
 	}
 	rec := obsRecord{
-		Name:       fmt.Sprintf("obs/cold-plan-n%d", n),
-		Nodes:      n,
-		Requests:   reqs,
-		DisabledNs: disabledNs,
-		EnabledNs:  enabledNs,
-		Spans:      spans,
-	}
-	if disabledNs > 0 {
-		rec.OverheadPct = 100 * (float64(enabledNs) - float64(disabledNs)) / float64(disabledNs)
+		Name:        fmt.Sprintf("obs/cold-plan-n%d", n),
+		Nodes:       n,
+		Requests:    reqs,
+		DisabledNs:  int64(median(disabled)),
+		EnabledNs:   int64(median(enabled)),
+		OverheadPct: 100 * (median(ratios) - 1),
+		Spans:       spans,
 	}
 	return rec, nil
 }

@@ -67,20 +67,14 @@ func emitJSON(in mlbs.Instance, res *mlbs.Result, rep *mlbs.Report) error {
 }
 
 func run(n int, seed uint64, r, channels int, schedName string, verbose, jsonMode bool) error {
-	dep, err := mlbs.PaperDeployment(n, seed)
+	in, err := mlbs.PlanGenerator{N: n, Seed: seed, DutyRate: r, Channels: channels}.Instance()
 	if err != nil {
 		return err
 	}
-	var in mlbs.Instance
-	if r > 1 {
-		in = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, seed^0xA5), 0)
-	} else {
-		in = mlbs.SyncInstance(dep.G, dep.Source)
-	}
-	in = mlbs.WithChannels(in, channels)
+	ecc, _ := in.G.Eccentricity(in.Source)
 	if !jsonMode {
 		fmt.Printf("deployment: n=%d density=%.3f edges=%d source=%d ecc=%d seed=%d\n",
-			n, dep.Cfg.Density(), dep.G.M(), dep.Source, dep.SourceEcc, seed)
+			n, mlbs.PaperTopologyConfig(n).Density(), in.G.M(), in.Source, ecc, seed)
 	}
 
 	if schedName == "localized" {
@@ -91,7 +85,7 @@ func run(n int, seed uint64, r, channels int, schedName string, verbose, jsonMod
 		if jsonMode {
 			return emitJSON(in, &mlbs.Result{Scheduler: "localized", Schedule: s, PA: s.PA()}, rep)
 		}
-		printOutcome(in, s, rep, r, dep.SourceEcc, verbose)
+		printOutcome(s, rep, r, ecc, verbose)
 		return nil
 	}
 
@@ -128,11 +122,11 @@ func run(n int, seed uint64, r, channels int, schedName string, verbose, jsonMod
 	}
 	fmt.Printf("scheduler: %s  exact=%v  expanded=%d states\n",
 		res.Scheduler, res.Exact, res.Stats.Expanded)
-	printOutcome(in, res.Schedule, rep, r, dep.SourceEcc, verbose)
+	printOutcome(res.Schedule, rep, r, ecc, verbose)
 	return nil
 }
 
-func printOutcome(in mlbs.Instance, s *mlbs.Schedule, rep *mlbs.Report, r, ecc int, verbose bool) {
+func printOutcome(s *mlbs.Schedule, rep *mlbs.Report, r, ecc int, verbose bool) {
 	radio := mlbs.Mica2()
 	fmt.Printf("P(A)=%d latency=%d slots (%v on %s)\n",
 		s.PA(), s.Latency(), radio.BroadcastTime(s.Latency()), radio.Name)
@@ -149,5 +143,4 @@ func printOutcome(in mlbs.Instance, s *mlbs.Schedule, rep *mlbs.Report, r, ecc i
 			fmt.Printf("  t=%-4d senders=%v covered=%v\n", adv.T, adv.Senders, adv.Covered)
 		}
 	}
-	_ = in
 }

@@ -183,9 +183,9 @@ func main() {
 }
 
 // serveObs bundles the server-side observability state: the always-on
-// flight recorder behind /debug/traces and one fixed-edge latency
-// histogram per traced endpoint (the mlbs_http_request_duration_seconds
-// family on /metrics).
+// flight recorder behind /debug/traces and one latency histogram per
+// traced endpoint (the mlbs_http_request_duration_seconds family on
+// /metrics).
 type serveObs struct {
 	rec *mlbs.TraceRecorder
 	lat map[string]*mlbs.LatencyHistogram
@@ -218,7 +218,7 @@ func newServeObs(recentN, slowestN int) *serveObs {
 		lat: make(map[string]*mlbs.LatencyHistogram, len(routes)),
 	}
 	for _, rt := range routes {
-		o.lat[rt.path] = mlbs.NewLatencyHistogram(nil)
+		o.lat[rt.path] = new(mlbs.LatencyHistogram)
 	}
 	return o
 }

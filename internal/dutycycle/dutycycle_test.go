@@ -326,3 +326,13 @@ func TestStaggered(t *testing.T) {
 		}
 	}
 }
+
+func TestAlwaysAwakeAndFixedCWT(t *testing.T) {
+	if w := (AlwaysAwake{Nodes: 60}); w.Rate() != 1 {
+		t.Fatal("AlwaysAwake rate")
+	}
+	fixed := NewFixed(10, 10, [][]int{{2}})
+	if CWT(fixed, 0, 0, 2) != 10 {
+		t.Fatal("CWT of a fixed schedule")
+	}
+}

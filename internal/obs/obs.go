@@ -1,6 +1,6 @@
 // Package obs is the serving stack's zero-dependency observability layer:
 // request-scoped span traces, an always-on flight recorder bounded to the
-// last-N and slowest-N requests, and a Prometheus-text histogram — all
+// last-N and slowest-N requests, and the latency histogram — all
 // built so that a request WITHOUT a trace attached pays nothing but a nil
 // check at every instrumentation point.
 //
@@ -14,8 +14,10 @@
 //     golden digests bit-identical when tracing is off.
 //   - Recorder (recorder.go) retains finished traces in two bounded
 //     buffers and hands out immutable snapshots for /debug/traces.
-//   - Histogram (hist.go) is the fixed-edge latency histogram behind the
-//     per-endpoint Prometheus _bucket/_sum/_count series.
+//   - Histogram (hist.go) is the one latency histogram: 256 log-linear,
+//     upper-inclusive atomic buckets (~25% resolution) behind the
+//     service's percentiles and every Prometheus _bucket/_sum/_count
+//     series, coarsened without loss onto power-of-two edges.
 //
 // A Trace is safe for handoff across goroutines (the service moves it
 // from the request goroutine onto a worker and back): every span

@@ -131,7 +131,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestHistogramSnapshotAndProm(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	h.Observe(2 * time.Microsecond) // bucket 2048ns
 	h.Observe(2 * time.Microsecond)
 	h.Observe(3 * time.Millisecond)
@@ -184,7 +184,7 @@ func TestHistogramSnapshotAndProm(t *testing.T) {
 // TestHistogramObserveAllocs pins the metrics hot path: observing is
 // allocation-free.
 func TestHistogramObserveAllocs(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	allocs := testing.AllocsPerRun(100, func() { h.Observe(time.Millisecond) })
 	if allocs != 0 {
 		t.Fatalf("Observe allocated %.1f/op", allocs)

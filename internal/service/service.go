@@ -261,9 +261,9 @@ type Metrics struct {
 	// occupancy (0 when the pool is disabled).
 	ImproveQueueDepth int
 	Generations       [improveGenBuckets]int64
-	// HitLatency/MissLatency are the full hit and miss latency
-	// distributions coarsened onto the shared Prometheus edge set —
-	// the data behind the _bucket/_sum/_count series /metrics emits.
+	// HitLatency/MissLatency are the hit and miss latency distributions
+	// on the Prometheus power-of-two edges — the data behind the
+	// _bucket/_sum/_count series /metrics emits.
 	HitLatency  obs.HistogramSnapshot
 	MissLatency obs.HistogramSnapshot
 	HitP50      time.Duration
@@ -586,8 +586,8 @@ type Service struct {
 	improveQueued     atomic.Int64
 	improveDropped    atomic.Int64
 	genHist           [improveGenBuckets]atomic.Int64
-	hitHist           hist
-	missHist          hist
+	hitHist           obs.Histogram
+	missHist          obs.Histogram
 }
 
 // improveGenBuckets sizes the generation histogram: bucket i counts
@@ -962,7 +962,7 @@ func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, erro
 		}
 		elapsed := time.Since(start)
 		if hit {
-			s.hitHist.observe(elapsed)
+			s.hitHist.Observe(elapsed)
 			// Serve best-so-far instantly, improve in the background: a warm
 			// hit with a budget never pays for its own improvement, it funds
 			// the next reader's. Already-exact plans have nothing left.
@@ -970,7 +970,7 @@ func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, erro
 				s.enqueueImprove(ctx, key, r.in, req.ImproveBudget, p.Generation)
 			}
 		} else {
-			s.missHist.observe(elapsed)
+			s.missHist.Observe(elapsed)
 		}
 		return Response{
 			Digest:    r.digest,
@@ -1069,14 +1069,13 @@ func (s *Service) Metrics() Metrics {
 	vs := s.vcache.Stats()
 	rs := s.rcache.Stats()
 	as := s.acache.Stats()
-	var merged [histBuckets]int64
-	total := s.hitHist.snapshot(&merged)
-	total += s.missHist.snapshot(&merged)
+	var all obs.Histogram
+	all.Merge(&s.hitHist)
+	all.Merge(&s.missHist)
 	var gens [improveGenBuckets]int64
 	for i := range gens {
 		gens[i] = s.genHist[i].Load()
 	}
-	edges := obs.DefaultLatencyEdgesNs()
 	return Metrics{
 		Requests:          s.requests.Load(),
 		Hits:              cs.Hits,
@@ -1112,13 +1111,13 @@ func (s *Service) Metrics() Metrics {
 		ImproveDropped:    s.improveDropped.Load(),
 		ImproveQueueDepth: len(s.improveJobs),
 		Generations:       gens,
-		HitLatency:        s.hitHist.promSnapshot(edges),
-		MissLatency:       s.missHist.promSnapshot(edges),
-		HitP50:            s.hitHist.percentile(0.50),
-		HitP99:            s.hitHist.percentile(0.99),
-		MissP50:           s.missHist.percentile(0.50),
-		MissP99:           s.missHist.percentile(0.99),
-		P50:               percentileOf(&merged, total, 0.50),
-		P99:               percentileOf(&merged, total, 0.99),
+		HitLatency:        s.hitHist.Snapshot(),
+		MissLatency:       s.missHist.Snapshot(),
+		HitP50:            s.hitHist.Percentile(0.50),
+		HitP99:            s.hitHist.Percentile(0.99),
+		MissP50:           s.missHist.Percentile(0.50),
+		MissP99:           s.missHist.Percentile(0.99),
+		P50:               all.Percentile(0.50),
+		P99:               all.Percentile(0.99),
 	}
 }

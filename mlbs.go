@@ -56,7 +56,6 @@ import (
 	"mlbs/internal/reliability"
 	"mlbs/internal/service"
 	"mlbs/internal/sim"
-	"mlbs/internal/stats"
 	"mlbs/internal/topology"
 	"mlbs/internal/trace"
 )
@@ -72,17 +71,12 @@ type (
 	// Instance is one broadcast problem: graph, source, start slot, wake
 	// schedule.
 	Instance = core.Instance
-	// Advance is one broadcasting advance: a conflict-free relay set and
-	// the nodes it covers.
-	Advance = core.Advance
 	// Schedule is a complete broadcast schedule; PA() is the paper's P(A).
 	Schedule = core.Schedule
 	// Result is a scheduler's outcome, including the optimality flag.
 	Result = core.Result
 	// Scheduler is the common interface of all scheduling algorithms.
 	Scheduler = core.Scheduler
-	// SearchStats reports branch-and-bound effort.
-	SearchStats = core.SearchStats
 	// WakeSchedule describes when each node's sending channel is on.
 	WakeSchedule = dutycycle.Schedule
 	// Deployment is a generated topology with its source.
@@ -94,13 +88,8 @@ type (
 	// SINRParams configures the physical (SINR) interference model; a nil
 	// Instance.SINR keeps the paper's protocol model.
 	SINRParams = interference.SINRParams
-	// InterferenceOracle is the conflict predicate every layer consults —
-	// graph (protocol) or SINR backed.
-	InterferenceOracle = interference.Oracle
 	// Radio models mote timing and energy (Mica2 by default).
 	Radio = mote.Radio
-	// RadioUsage tallies transmissions, receptions, collisions and idling.
-	RadioUsage = mote.Usage
 	// ETable holds the per-node quadrant estimates E₁..E₄.
 	ETable = emodel.Table
 	// Figure is a regenerated paper figure.
@@ -111,8 +100,6 @@ type (
 	ExperimentSummary = experiments.Summary
 	// TraceRow is one line of a Table II/III/IV-style decision table.
 	TraceRow = trace.Row
-	// Sample accumulates mean/CI statistics.
-	Sample = stats.Sample
 	// LossFunc decides per-link frame loss for lossy-channel executions.
 	LossFunc = sim.LossFunc
 	// LossyReport extends Report with the dropped-frame count.
@@ -146,10 +133,6 @@ type (
 	// PlanGenerator is the request form that asks the service to build the
 	// paper-topology instance itself.
 	PlanGenerator = service.Generator
-	// PlanResponse is one plan-service answer.
-	PlanResponse = service.Response
-	// ServiceMetrics snapshots plan-service traffic.
-	ServiceMetrics = service.Metrics
 	// SweepRequest is a streaming parameter sweep over the topology family.
 	SweepRequest = service.SweepRequest
 	// SweepItem is one streamed sweep result.
@@ -160,8 +143,6 @@ type (
 	Improver = improve.Improver
 	// ImproveOptions budgets one Improve call.
 	ImproveOptions = improve.Options
-	// ImproveStats reports what an Improve call did.
-	ImproveStats = improve.Stats
 	// Replayer executes schedules against the physics with reusable
 	// buffers; a report stays valid until the replayer's next call.
 	Replayer = sim.Replayer
@@ -174,8 +155,6 @@ type (
 	ReliabilityConfig = reliability.Config
 	// ReliabilityReport is a Monte-Carlo reliability estimate (DESIGN.md §10).
 	ReliabilityReport = reliability.Report
-	// ReliabilityQuantiles summarizes a latency distribution in slots.
-	ReliabilityQuantiles = reliability.Quantiles
 	// ReliabilityEstimator batches Monte-Carlo replays with reusable state.
 	ReliabilityEstimator = reliability.Estimator
 	// RepairConfig tunes conflict-aware retransmission repair.
@@ -200,9 +179,6 @@ type (
 	Replanner = churn.Replanner
 	// ReplannerConfig tunes a Replanner.
 	ReplannerConfig = churn.ReplanConfig
-	// ChurnReplanResult is a repaired plan plus its blast-radius
-	// classification.
-	ChurnReplanResult = churn.ReplanResult
 	// ChurnStrategy names how a repaired plan was obtained
 	// (prefix/incremental/cold).
 	ChurnStrategy = churn.Strategy
@@ -211,50 +187,33 @@ type (
 	ChurnTrace = churn.Trace
 	// ChurnTraceConfig parameterizes Poisson churn-trace generation.
 	ChurnTraceConfig = churn.TraceConfig
-	// ChurnTraceEvent is one timed topology event of a trace.
-	ChurnTraceEvent = churn.TraceEvent
 	// ReplanRequest is one churn-repair service request.
 	ReplanRequest = service.ReplanRequest
-	// ReplanResponse is one churn-repair service answer.
-	ReplanResponse = service.ReplanResponse
 	// AggSchedule is a complete convergecast (aggregation) schedule: a
 	// routing tree toward the sink plus receiver-safe sender bundles per
 	// (slot, channel) (DESIGN.md §18).
 	AggSchedule = aggregate.Schedule
-	// AggAdvance is one aggregation advance: the senders firing in one
-	// (slot, channel) cell.
-	AggAdvance = aggregate.Advance
 	// AggResult is an aggregation scheduler's outcome.
 	AggResult = aggregate.Result
-	// AggScheduler plans convergecast schedules; its scratch arenas are
-	// reused across calls, so one per goroutine.
-	AggScheduler = aggregate.Scheduler
-	// AggTree selects the aggregation-tree policy of an AggScheduler.
-	AggTree = aggregate.Tree
 	// AggReport is the physical outcome of replaying a convergecast
 	// schedule.
 	AggReport = sim.AggReport
 	// AggregateRequest is one convergecast service request.
 	AggregateRequest = service.AggregateRequest
-	// AggregateResponse is one convergecast service answer.
-	AggregateResponse = service.AggregateResponse
 	// Trace collects the named phases of one request as a span tree; attach
 	// it to a context with TraceContext and the service records cache,
 	// search, improve and repair phases into it (DESIGN.md §15). The nil
 	// Trace is the disabled tracer — every operation on it is a free no-op.
 	Trace = obs.Trace
-	// TraceSpan is a handle onto one span of a Trace.
-	TraceSpan = obs.Span
 	// TraceSnapshot is the immutable export of a finished trace — the JSON
 	// schema GET /debug/traces serves.
 	TraceSnapshot = obs.TraceSnapshot
-	// SpanSnapshot is one exported span of a TraceSnapshot.
-	SpanSnapshot = obs.SpanSnapshot
 	// TraceRecorder is the always-on flight recorder: bounded ring of the
 	// last-N finished traces plus a board of the slowest-N.
 	TraceRecorder = obs.Recorder
-	// LatencyHistogram is the fixed-edge histogram behind the Prometheus
-	// _bucket/_sum/_count series /metrics emits.
+	// LatencyHistogram is the log-linear latency histogram behind the
+	// Prometheus _bucket/_sum/_count series /metrics emits; its zero value
+	// is ready to use.
 	LatencyHistogram = obs.Histogram
 	// LatencyHistogramSnapshot is its cumulative point-in-time view.
 	LatencyHistogramSnapshot = obs.HistogramSnapshot
@@ -262,18 +221,8 @@ type (
 
 // The churn event kinds.
 const (
-	ChurnNodeFail       = churn.NodeFail
-	ChurnNodeJoin       = churn.NodeJoin
-	ChurnRadiusChange   = churn.RadiusChange
-	ChurnPositionJitter = churn.PositionJitter
-)
-
-// The aggregation-tree policies.
-const (
-	// AggTreeSPT routes along the BFS shortest-path tree (default).
-	AggTreeSPT = aggregate.TreeSPT
-	// AggTreeBounded routes along the degree-bounded SPT variant.
-	AggTreeBounded = aggregate.TreeBounded
+	ChurnNodeFail = churn.NodeFail
+	ChurnNodeJoin = churn.NodeJoin
 )
 
 // Typed failures callers (and the HTTP layer's error envelope)
@@ -296,12 +245,6 @@ var (
 // adjacent exactly when within the communication radius.
 func NewUDG(pos []Point, radius float64) *Graph { return graph.FromUDG(pos, radius) }
 
-// GenerateDeployment draws a connected deployment with a valid source from
-// the configuration, rejecting placements until both hold.
-func GenerateDeployment(cfg TopologyConfig, seed uint64) (*Deployment, error) {
-	return topology.Generate(cfg, seed)
-}
-
 // PaperDeployment draws a deployment with the paper's Section V-A setting:
 // n nodes, 50×50 sq ft, radius 10 ft, source eccentricity 5–8 hops.
 func PaperDeployment(n int, seed uint64) (*Deployment, error) {
@@ -315,9 +258,6 @@ func PaperTopologyConfig(n int) TopologyConfig { return topology.PaperConfig(n) 
 // SyncInstance wraps a graph and source into a round-based instance
 // starting at t_s = 1 (the paper's convention).
 func SyncInstance(g *Graph, source NodeID) Instance { return core.Sync(g, source) }
-
-// MaxChannels bounds Instance.Channels.
-const MaxChannels = core.MaxChannels
 
 // WithChannels returns the instance with K orthogonal frequency channels:
 // schedules may then fire up to K mutually-conflicting relay classes in
@@ -354,22 +294,6 @@ func UniformWake(n, r int, seed uint64) WakeSchedule {
 	return dutycycle.NewUniform(n, r, seed, 0)
 }
 
-// AlwaysAwakeWake returns the degenerate synchronous schedule (r = 1).
-func AlwaysAwakeWake(n int) WakeSchedule { return dutycycle.AlwaysAwake{Nodes: n} }
-
-// FixedWake builds an explicit periodic wake schedule; slots[u] lists node
-// u's wake slots within [0, period).
-func FixedWake(period, rate int, slots [][]int) WakeSchedule {
-	return dutycycle.NewFixed(period, rate, slots)
-}
-
-// StaggeredWake builds the constant-phase duty cycle: each node wakes every
-// r slots at a fixed pseudo-random offset (contrast UniformWake, which
-// redraws the offset per cycle).
-func StaggeredWake(n, r int, seed uint64) WakeSchedule {
-	return dutycycle.NewStaggered(n, r, seed)
-}
-
 // CWT returns the cycle waiting time t(u,v) of Table I: with u
 // transmitting at slot t, the wait until v's next wake slot after t.
 func CWT(s WakeSchedule, u, v, t int) int { return dutycycle.CWT(s, u, v, t) }
@@ -378,38 +302,12 @@ func CWT(s WakeSchedule, u, v, t int) int { return dutycycle.CWT(s, u, v, t) }
 // sets (Eq. 5/6), with default search budget.
 func OPT() Scheduler { return core.NewOPT(0, 0) }
 
-// OPTBudget returns OPT with an explicit search budget and per-state move
-// cap (≤ 0 selects defaults). Results report Exact=false when truncated.
-func OPTBudget(budget, maxSets int) Scheduler { return core.NewOPT(budget, maxSets) }
-
 // GOPT returns the exact scheduler over greedy color classes (Eq. 7/8).
 func GOPT() Scheduler { return core.NewGOPT(0) }
-
-// GOPTBudget returns G-OPT with an explicit search budget.
-func GOPTBudget(budget int) Scheduler { return core.NewGOPT(budget) }
 
 // EModel returns the paper's practical scheduler: greedy colors selected
 // by the largest quadrant estimate (Algorithm 2 + Eq. 10).
 func EModel() Scheduler { return core.NewEModel(emodel.TwoPass) }
-
-// EModelOnePass returns the ablation variant that seeds every
-// empty-quadrant node immediately instead of edge-first.
-func EModelOnePass() Scheduler { return core.NewEModel(emodel.OnePass) }
-
-// EnergyAware returns the Section VII "energy saving" extension: Eq. 10's
-// selection with ties broken toward fewer transmitters.
-func EnergyAware() Scheduler { return core.NewEnergyAware() }
-
-// MaxCoverage returns the ablation policy that always fires the color with
-// the most uncovered receivers.
-func MaxCoverage() Scheduler {
-	return core.NewPolicy("max-coverage", core.MaxCoverageRule{})
-}
-
-// FirstColor returns the ablation policy that always fires greedy color 1.
-func FirstColor() Scheduler {
-	return core.NewPolicy("first-color", core.FirstColorRule{})
-}
 
 // Baseline26 returns the round-based BFS-layer baseline of Chen et al.
 // (the paper's 26-approximation comparison point).
@@ -491,14 +389,8 @@ func Figure3(cfg ExperimentConfig) (*Figure, error) { return experiments.Figure3
 // Figure4 regenerates Figure 4 (duty cycle, r = 10).
 func Figure4(cfg ExperimentConfig) (*Figure, error) { return experiments.Figure4(cfg) }
 
-// Figure5 regenerates Figure 5 (analytical bounds, r = 10).
-func Figure5(cfg ExperimentConfig) (*Figure, error) { return experiments.Figure5(cfg) }
-
 // Figure6 regenerates Figure 6 (light duty cycle, r = 50).
 func Figure6(cfg ExperimentConfig) (*Figure, error) { return experiments.Figure6(cfg) }
-
-// Figure7 regenerates Figure 7 (analytical bounds, r = 50).
-func Figure7(cfg ExperimentConfig) (*Figure, error) { return experiments.Figure7(cfg) }
 
 // FigureByID regenerates figure 3–7 by paper number.
 func FigureByID(id int, cfg ExperimentConfig) (*Figure, error) {
@@ -541,9 +433,6 @@ func EncodeDeployment(d *Deployment) ([]byte, error) { return graphio.EncodeDepl
 // DecodeDeployment rebuilds a deployment from EncodeDeployment output,
 // verifying connectivity and stored metadata.
 func DecodeDeployment(data []byte) (*Deployment, error) { return graphio.DecodeDeployment(data) }
-
-// EncodeSchedule serializes a schedule to JSON.
-func EncodeSchedule(s *Schedule) ([]byte, error) { return graphio.EncodeSchedule(s) }
 
 // DecodeSchedule rebuilds a schedule; Validate it against its instance
 // before trusting it.
@@ -602,10 +491,6 @@ func NewTrace(endpoint string) *Trace { return obs.NewTrace(endpoint) }
 // under it record their phases into the trace.
 func TraceContext(ctx context.Context, t *Trace) context.Context { return obs.NewContext(ctx, t) }
 
-// TraceFromContext returns the trace carried by ctx, or nil (the disabled
-// tracer) when none is attached.
-func TraceFromContext(ctx context.Context) *Trace { return obs.FromContext(ctx) }
-
 // NewTraceRecorder builds a flight recorder retaining the last recentN
 // and slowest slowestN traces; values ≤ 0 select the defaults (64/16).
 func NewTraceRecorder(recentN, slowestN int) *TraceRecorder {
@@ -615,10 +500,6 @@ func NewTraceRecorder(recentN, slowestN int) *TraceRecorder {
 // FormatTrace renders a trace snapshot as an indented span tree with
 // durations and attributes — the form mlb-load -trace prints.
 func FormatTrace(s *TraceSnapshot) string { return obs.FormatTrace(s) }
-
-// NewLatencyHistogram builds a fixed-edge latency histogram over ascending
-// nanosecond bucket bounds; nil selects the default power-of-two edges.
-func NewLatencyHistogram(edgesNs []int64) *LatencyHistogram { return obs.NewHistogram(edgesNs) }
 
 // WritePromHistogram emits one histogram family in Prometheus text format
 // (# HELP/# TYPE, cumulative _bucket series with le edges in seconds,
@@ -675,12 +556,6 @@ func RepairSchedule(in Instance, s *Schedule, model ReliabilityLossModel, cfg Re
 	return reliability.Repair(in, s, model, cfg)
 }
 
-// EncodeReliabilityReport serializes a Monte-Carlo reliability report in
-// the canonical schema /v1/validate and mlb-validate emit.
-func EncodeReliabilityReport(rep *ReliabilityReport) ([]byte, error) {
-	return graphio.EncodeReliabilityReport(rep)
-}
-
 // DecodeReliabilityReport rebuilds a report from EncodeReliabilityReport
 // output.
 func DecodeReliabilityReport(data []byte) (*ReliabilityReport, error) {
@@ -714,20 +589,15 @@ func GenerateChurnTrace(base Instance, cfg ChurnTraceConfig, seed uint64) (*Chur
 // layer keys repaired plans by (instance digest, delta digest).
 func ChurnDeltaDigest(d ChurnDelta) (Digest, error) { return churn.DeltaDigest(d) }
 
-// EncodeChurnDelta serializes a delta in the schema POST /v1/replan
-// accepts.
-func EncodeChurnDelta(d ChurnDelta) ([]byte, error) { return churn.EncodeDelta(d) }
-
 // DecodeChurnDelta rebuilds a delta, validating every event.
 func DecodeChurnDelta(data []byte) (ChurnDelta, error) { return churn.DecodeDelta(data) }
 
 // ScheduleAggregate plans a conflict-aware minimum-latency convergecast:
 // every node's reading routed to the sink (the instance's Source) along
 // an aggregation tree with receiver-safe sender bundles (DESIGN.md §18).
-// One-shot convenience; reuse an AggScheduler value across calls for warm
-// arenas.
+// One-shot convenience: each call builds fresh scratch arenas.
 func ScheduleAggregate(in Instance) (*AggResult, error) {
-	var s AggScheduler
+	var s aggregate.Scheduler
 	return s.Schedule(in)
 }
 
@@ -736,22 +606,6 @@ func ScheduleAggregate(in Instance) (*AggResult, error) {
 func ReplayAggregate(in Instance, s *AggSchedule) (*AggReport, error) {
 	return sim.ReplayAggregate(in, s)
 }
-
-// AggInstanceDigest computes the content address of an instance as an
-// aggregation problem — the broadcast digest stream plus an "agg" tag, so
-// the two workloads never alias in any cache.
-func AggInstanceDigest(in Instance) (Digest, error) { return graphio.AggInstanceDigest(in) }
-
-// EncodeAggSchedule serializes an aggregation schedule.
-func EncodeAggSchedule(s *AggSchedule) ([]byte, error) { return graphio.EncodeAggSchedule(s) }
-
-// DecodeAggSchedule rebuilds an aggregation schedule; Validate it against
-// its instance before trusting it.
-func DecodeAggSchedule(data []byte) (*AggSchedule, error) { return graphio.DecodeAggSchedule(data) }
-
-// EncodeAggResult serializes an aggregation result in the schema the
-// /v1/aggregate endpoint embeds.
-func EncodeAggResult(res *AggResult) ([]byte, error) { return graphio.EncodeAggResult(res) }
 
 // DecodeAggResult rebuilds an aggregation result from EncodeAggResult
 // output.
@@ -763,6 +617,3 @@ func NewAggResultWire(res *AggResult) (AggResultWire, error) { return graphio.Ne
 
 // EncodeChurnTrace serializes a churn trace.
 func EncodeChurnTrace(tr *ChurnTrace) ([]byte, error) { return churn.EncodeTrace(tr) }
-
-// DecodeChurnTrace rebuilds a churn trace, validating events and ordering.
-func DecodeChurnTrace(data []byte) (*ChurnTrace, error) { return churn.DecodeTrace(data) }

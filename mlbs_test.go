@@ -1,6 +1,7 @@
 package mlbs_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,7 +17,6 @@ func TestQuickstartFlow(t *testing.T) {
 	in := mlbs.SyncInstance(dep.G, dep.Source)
 	for _, s := range []mlbs.Scheduler{
 		mlbs.OPT(), mlbs.GOPT(), mlbs.EModel(), mlbs.Baseline26(),
-		mlbs.MaxCoverage(), mlbs.FirstColor(), mlbs.EModelOnePass(),
 	} {
 		res, err := s.Schedule(in)
 		if err != nil {
@@ -177,7 +177,11 @@ func TestFacadeLossyAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sblob, err := mlbs.EncodeSchedule(res.Schedule)
+	wire, err := mlbs.NewScheduleWire(res.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sblob, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,26 +212,6 @@ func TestFacadeLossyAndPersistence(t *testing.T) {
 	}
 }
 
-func TestFacadeEnergyAwareAndStaggered(t *testing.T) {
-	dep, err := mlbs.PaperDeployment(80, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wake := mlbs.StaggeredWake(dep.G.N(), 10, 5)
-	in := mlbs.AsyncInstance(dep.G, dep.Source, wake, 0)
-	res, err := mlbs.EnergyAware().Schedule(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mlbs.Replay(in, res.Schedule)
-	if err != nil || !rep.Completed {
-		t.Fatalf("energy-aware replay: %v", err)
-	}
-}
-
 func TestFacadeAblations(t *testing.T) {
 	cfg := mlbs.ExperimentConfig{Trials: 2, Seed: 3, NodeCounts: []int{50}}
 	a, err := mlbs.AblationSelection(cfg)
@@ -240,30 +224,10 @@ func TestFacadeAblations(t *testing.T) {
 }
 
 func TestFacadeRemainingWrappers(t *testing.T) {
-	// Topology configuration and generation.
-	cfg := mlbs.PaperTopologyConfig(60)
-	if cfg.N != 60 {
-		t.Fatal("PaperTopologyConfig")
-	}
-	dep, err := mlbs.GenerateDeployment(cfg, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wake schedule constructors.
-	if w := mlbs.AlwaysAwakeWake(dep.G.N()); w.Rate() != 1 {
-		t.Fatal("AlwaysAwakeWake rate")
-	}
-	fixed := mlbs.FixedWake(10, 10, [][]int{{2}})
-	if mlbs.CWT(fixed, 0, 0, 2) != 10 {
+	// Table IV's u1 wakes only at slot 2 of each 20-slot period, so a
+	// transmission at slot 2 waits a whole period for u1's next wake.
+	if mlbs.CWT(mlbs.TableIVWake(), 0, 0, 2) != 20 {
 		t.Fatal("CWT via facade")
-	}
-	// Budgeted searches.
-	in := mlbs.SyncInstance(dep.G, dep.Source)
-	if _, err := mlbs.OPTBudget(1000, 32).Schedule(in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mlbs.GOPTBudget(1000).Schedule(in); err != nil {
-		t.Fatal(err)
 	}
 	// UDG constructor.
 	g := mlbs.NewUDG([]mlbs.Point{{X: 0, Y: 0}, {X: 5, Y: 0}}, 10)
