@@ -13,7 +13,9 @@
 package dutycycle
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"mlbs/internal/rng"
 )
@@ -310,62 +312,139 @@ func MeanCWT(s Schedule, u, v int) float64 {
 	return float64(sum) / float64(count)
 }
 
-// maxOffsetTableEntries caps an OffsetTable at 16 MB, well above the paper's
-// deployments (n = 1000 at the default 1024 cycles is 1M entries) and far
-// below what a hostile cycle count in a decoded instance could demand.
-const maxOffsetTableEntries = 1 << 23
+// maxOffsetTableEntries bounds an OffsetTable's schedule at 2^23 (node,
+// cycle) pairs, well above the paper's deployments (n = 1000 at the default
+// 1024 cycles is 1M) and far below what a hostile cycle count in a decoded
+// instance could demand; maxOffsetTableWords caps the table itself at 16 MB.
+const (
+	maxOffsetTableEntries = 1 << 23
+	maxOffsetTableWords   = 1 << 21
+)
 
-// OffsetTable is a Uniform schedule's wake offsets, precomputed once so the
-// mean CWT of every directed edge is a pass over two rows instead of two
-// seeded draws per cycle. Row u holds offset(u, c) for c in [0, cycles]; the
-// last column is the wrap to the next period's first cycle. The table is
-// immutable once built, so MeanCWT is safe for concurrent use.
+// OffsetTable is a Uniform schedule's wake offsets, precomputed once and
+// bit-sliced so the mean CWT of every directed edge is a few popcounts per
+// 64 cycles instead of two seeded draws per cycle. For every 64-cycle word
+// a node's row holds ⌈log₂ r⌉ bit planes of offset(u, c), then the same
+// planes of offset(u, c+1) (the last cycle wraps to cycle 0), and the row
+// ends in Σ_c offset(u, c). The table is immutable once built, so MeanCWT
+// is safe for concurrent use.
 type OffsetTable struct {
 	r      int
 	cycles int
-	// off is row-major, cycles+1 columns per row. uint16 halves the memory
-	// of int32 and measured slightly faster over the per-edge loop.
-	off []uint16
+	bits   int    // planes per offset: ⌈log₂ r⌉
+	words  int    // 64-cycle words per row
+	last   uint64 // valid cycles of a row's last word
+	// rows is node-major, rowLen = words·2·bits + 1 words per node.
+	rows []uint64
 }
 
 // OffsetTable builds the schedule's offset table, or returns nil when it
-// cannot be represented — r above 65536 or more than 2^23 entries — and
-// callers must fall back to the generic MeanCWT scan.
+// cannot be represented — r above 65536, more than 2^23 (node, cycle)
+// pairs or a table above 16 MB — and callers must fall back to the generic
+// MeanCWT scan.
 func (s *Uniform) OffsetTable() *OffsetTable {
-	n, w := len(s.seeds), s.cycles+1
-	if s.r > 1<<16 || w > maxOffsetTableEntries || n > maxOffsetTableEntries/w {
+	n := len(s.seeds)
+	if s.r > 1<<16 || s.cycles+1 > maxOffsetTableEntries || n > maxOffsetTableEntries/(s.cycles+1) {
 		return nil
 	}
-	off := make([]uint16, n*w)
-	for u := 0; u < n; u++ {
-		row := off[u*w : (u+1)*w]
-		for c := 0; c < s.cycles; c++ {
-			row[c] = uint16(s.periodOffset(u, c))
-		}
-		row[s.cycles] = row[0]
+	t := &OffsetTable{r: s.r, cycles: s.cycles, bits: bits.Len(uint(s.r - 1)), words: (s.cycles + 63) / 64}
+	t.last = ^uint64(0) >> (63 - uint(s.cycles-1)&63)
+	b, stride, rowLen := t.bits, 2*t.bits, t.rowLen()
+	if n > maxOffsetTableWords/rowLen {
+		return nil
 	}
-	return &OffsetTable{r: s.r, cycles: s.cycles, off: off}
+	t.rows = make([]uint64, n*rowLen)
+	wrap := uint(s.cycles-1) & 63
+	for u := 0; u < n; u++ {
+		row := t.rows[u*rowLen : (u+1)*rowLen]
+		sum := 0
+		for i := 0; i < t.words; i++ {
+			// The word's offsets as low and high bytes: one multiply
+			// gathers bit k of eight offsets into the next byte of plane k,
+			// filled from the top cycles down.
+			var lo, hi [64]byte
+			for j := range min(64, s.cycles-64*i) {
+				o := s.periodOffset(u, 64*i+j)
+				sum += o
+				lo[j], hi[j] = byte(o), byte(o>>8)
+			}
+			planes := row[i*stride:][:b]
+			for g := len(lo) - 8; g >= 0; g -= 8 {
+				x, y := binary.LittleEndian.Uint64(lo[g:]), binary.LittleEndian.Uint64(hi[g:])
+				for k := range planes {
+					if k == 8 {
+						x = y
+					}
+					planes[k] = planes[k]<<8 | (x&0x0101_0101_0101_0101)*gatherBytes>>56
+					x >>= 1
+				}
+			}
+		}
+		// The successor planes are the offset planes shifted down one
+		// cycle, carrying across words; the last cycle's successor is
+		// cycle 0 of the next period.
+		for i := 0; i < t.words; i++ {
+			word := row[i*stride:][:stride]
+			for k := 0; k < b; k++ {
+				next := word[k] >> 1
+				if i+1 < t.words {
+					next |= row[(i+1)*stride+k] << 63
+				} else {
+					next |= (row[k] & 1) << wrap
+				}
+				word[b+k] = next
+			}
+		}
+		row[rowLen-1] = uint64(sum)
+	}
+	return t
 }
+
+// gatherBytes moves bit 0 of each byte j of a word to bit 56+j of the
+// product; no partial products collide, so nothing carries.
+const gatherBytes = 0x0102_0408_1020_4080
+
+func (t *OffsetTable) rowLen() int { return t.words*2*t.bits + 1 }
 
 // MeanCWT returns MeanCWT(s, u, v) for the schedule the table was built
 // from, bit for bit. In cycle c, u wakes at offset ou[c]; v's next wake
-// strictly after it is ov[c] in the same cycle when d = ov[c]−ou[c] > 0,
-// and otherwise ov[c+1] in the next cycle, a wait of d + r + ov[c+1] −
-// ov[c]. The integer sum is divided once, exactly as the generic scan does.
+// strictly after it is ov[c] in the same cycle when ou[c] < ov[c], and
+// otherwise ov[c+1] in the next cycle, r + ov[c+1] − ov[c] slots later.
+// Over the cycles M = {c : ou[c] ≥ ov[c]} the wait sum is therefore
 //
-//mlbs:hotpath -- runs once per directed edge of every duty-cycle E-model build
+//	Σ ov − Σ ou + r·|M| + Σ_{c∈M} ov[c+1] − Σ_{c∈M} ov[c],
+//
+// where the row sums give the first two terms, a bit-sliced comparator
+// (lt/eq masks from the top plane down) gives M per 64 cycles, and each
+// masked sum is Σ_k 2^k·popcount(plane_k & M). The integer sum is divided
+// once, exactly as the generic scan does.
+//
+//mlbs:hotpath -- runs once per directed edge Dijkstra can use in every duty-cycle E-model build
 func (t *OffsetTable) MeanCWT(u, v int) float64 {
-	w := t.cycles + 1
-	ou := t.off[u*w : u*w+t.cycles]
-	ov := t.off[v*w : (v+1)*w]
-	cur, next := ov[:len(ou)], ov[1:len(ou)+1]
-	r, sum := t.r, 0
-	for c, o := range ou {
-		a := int(cur[c])
-		d := a - int(o)
-		// (d−1)>>63 is all ones exactly when d ≤ 0: branchless select.
-		sum += d + ((d-1)>>63)&(r+int(next[c])-a)
+	b, stride, rowLen := t.bits, 2*t.bits, t.rowLen()
+	ru := t.rows[u*rowLen : (u+1)*rowLen]
+	rv := t.rows[v*rowLen : (v+1)*rowLen]
+	inM, diff := 0, 0
+	for i, mask := 0, ^uint64(0); i < t.words; i++ {
+		ou := ru[i*stride:][:b]
+		ov := rv[i*stride:][:len(ou)]
+		nv := rv[i*stride+b:][:len(ou)]
+		lt, eq := uint64(0), ^uint64(0)
+		for k := len(ou) - 1; k >= 0; k-- {
+			a, c := ou[k], ov[k]
+			lt |= eq &^ a & c
+			eq &^= a ^ c
+		}
+		if i == t.words-1 {
+			mask = t.last
+		}
+		m := mask &^ lt
+		inM += bits.OnesCount64(m)
+		for k, c := range ov {
+			diff += (bits.OnesCount64(nv[k]&m) - bits.OnesCount64(c&m)) << k
+		}
 	}
+	sum := int(rv[rowLen-1]) - int(ru[rowLen-1]) + t.r*inM + diff
 	return float64(sum) / float64(t.cycles)
 }
 

@@ -292,6 +292,30 @@ func BenchmarkUniformNextAwake(b *testing.B) {
 	}
 }
 
+// BenchmarkOffsetTable100 is the per-plan table build of the duty-cycle
+// E-model at the paper's n=100, r=10 and the default 1024 cycles: the
+// seeded draws plus the bit-plane transpose.
+func BenchmarkOffsetTable100(b *testing.B) {
+	s := NewUniform(100, 10, 1^0xA5, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = s.OffsetTable()
+	}
+}
+
+var meanCWTSink float64
+
+// BenchmarkMeanCWT is the per-edge cost on the same table: one mean CWT
+// over the 1024-cycle period per operation.
+func BenchmarkMeanCWT(b *testing.B) {
+	tab := NewUniform(100, 10, 1^0xA5, 0).OffsetTable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meanCWTSink += tab.MeanCWT(i%100, (i*7+1)%100)
+	}
+}
+
 func TestStaggered(t *testing.T) {
 	s := NewStaggered(20, 10, 7)
 	if s.Period() != 10 || s.Rate() != 10 || s.N() != 20 {

@@ -94,7 +94,9 @@ func EdgeNodes(g *graph.Graph) []bool {
 
 // Weight gives the cost of relaying from u to neighbor v. The synchronous
 // system uses 1 (a hop per round, Eq. 9); the duty-cycle system uses the
-// proactive mean CWT (Eq. 11).
+// proactive mean CWT (Eq. 11). Every weight must be at least 1 — HopWeight
+// is 1 and every CWT is at least one slot — which lets Build skip the
+// evaluation of any edge whose relaxation cannot lower an entry.
 type Weight func(u, v graph.NodeID) float64
 
 // HopWeight is the synchronous weight: every hop costs one round.
@@ -102,10 +104,10 @@ func HopWeight(u, v graph.NodeID) float64 { return 1 }
 
 // CWTWeight returns the asynchronous weight for schedule s: the mean cycle
 // waiting time u observes before v can forward (Eq. 11's t(u,v)). For the
-// paper's Uniform schedule it builds every node's wake-offset row up front,
-// so the returned Weight is a pure function over an immutable table and is
-// safe to share; other schedules (and tables too large to build) scan the
-// schedule generically per evaluation.
+// paper's Uniform schedule it bit-slices every node's wake offsets up
+// front, so the returned Weight is a pure function over an immutable table
+// and is safe to share; other schedules (and tables too large to build)
+// scan the schedule generically per evaluation.
 func CWTWeight(s dutycycle.Schedule) Weight {
 	if un, ok := s.(*dutycycle.Uniform); ok {
 		if tab := un.OffsetTable(); tab != nil {
@@ -113,47 +115,6 @@ func CWTWeight(s dutycycle.Schedule) Weight {
 		}
 	}
 	return func(u, v graph.NodeID) float64 { return dutycycle.MeanCWT(s, u, v) }
-}
-
-// weightCache memoizes a Weight per directed edge. The duty-cycle weight
-// (mean CWT) costs a pass over one schedule period per evaluation — a
-// cycle loop over two table rows, or a NextAwake scan for schedules without
-// a table — and relaxation queries each edge once per quadrant per pass (up
-// to eight times), so Build evaluates through this cache instead.
-// cost[v][j] stores w(adj(v)[j], v), the direction relaxQuadrant asks for;
-// NaN marks unset.
-type weightCache struct {
-	g    *graph.Graph
-	w    Weight
-	cost [][]float64
-}
-
-func newWeightCache(g *graph.Graph, w Weight) *weightCache {
-	n := g.N()
-	total := 0
-	for v := 0; v < n; v++ {
-		total += g.Degree(v)
-	}
-	flat := make([]float64, total)
-	for i := range flat {
-		flat[i] = math.NaN()
-	}
-	cost := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(v)
-		cost[v], flat = flat[:d:d], flat[d:]
-	}
-	return &weightCache{g: g, w: w, cost: cost}
-}
-
-// weight returns w(u→v) where u is the j-th neighbor of v.
-func (c *weightCache) weight(v graph.NodeID, j int) float64 {
-	if x := c.cost[v][j]; !math.IsNaN(x) {
-		return x
-	}
-	x := c.w(c.g.Adj(v)[j], v)
-	c.cost[v][j] = x
-	return x
 }
 
 // Build constructs the E table for graph g per Algorithm 2.
@@ -184,7 +145,6 @@ func Build(g *graph.Graph, w Weight, seeding Seeding) *Table {
 		eligible: make([]bool, n),
 		settled:  make([]bool, n),
 	}
-	cw := newWeightCache(g, w)
 	var seeds []graph.NodeID
 	seedAndRelax := func(maySeed func(u int) bool) {
 		for qi, q := range geom.Quadrants {
@@ -196,7 +156,7 @@ func Build(g *graph.Graph, w Weight, seeding Seeding) *Table {
 					seeds = append(seeds, u)
 				}
 			}
-			relaxQuadrant(g, cw, q, t, seeds, rx)
+			relaxQuadrant(g, w, q, t, seeds, rx)
 		}
 	}
 
@@ -293,7 +253,13 @@ type relaxScratch struct {
 // within the pass an unsettled entry may still tighten (Dijkstra's
 // decrease-key — the node has not announced its value yet, so this is not
 // a second information exchange).
-func relaxQuadrant(g *graph.Graph, cw *weightCache, q geom.Quadrant, t *Table, seeds []graph.NodeID, rx *relaxScratch) {
+//
+// Each v settles at most once per quadrant over both passes (pass 2 pushes
+// only entries that were ∞), so every directed edge is relaxed at most once
+// per Build and its weight needs no cache. The weight is not evaluated at
+// all when the relaxation cannot change u: u is settled, u is finite but
+// not eligible in this pass, or E(u) ≤ E(v)+1 already, since w ≥ 1.
+func relaxQuadrant(g *graph.Graph, w Weight, q geom.Quadrant, t *Table, seeds []graph.NodeID, rx *relaxScratch) {
 	qi := q.Index()
 	frontier := rx.frontier[:0]
 	eligible, settled := rx.eligible, rx.settled
@@ -312,17 +278,23 @@ func relaxQuadrant(g *graph.Graph, cw *weightCache, q geom.Quadrant, t *Table, s
 			continue
 		}
 		settled[v] = true
-		for j, u := range g.Adj(v) {
+		ev := t.E[v][qi]
+		for _, u := range g.Adj(v) {
+			eu := t.E[u][qi]
+			fresh := math.IsInf(eu, 1)
+			if !fresh && (!eligible[u] || settled[u] || eu <= ev+1) {
+				continue // E(u) is fixed, or no weight ≥ 1 can lower it
+			}
 			if geom.QuadrantOf(g.Pos(u), g.Pos(v)) != q {
 				continue // v is not in u's quadrant q
 			}
-			cand := cw.weight(v, j) + t.E[v][qi]
-			if math.IsInf(t.E[u][qi], 1) {
+			cand := w(u, v) + ev
+			if fresh {
 				t.E[u][qi] = cand
 				t.Updates[u]++
 				eligible[u] = true
 				frontier.push(pqItem{u, cand})
-			} else if eligible[u] && !settled[u] && cand < t.E[u][qi] {
+			} else if cand < eu {
 				t.E[u][qi] = cand
 				frontier.push(pqItem{u, cand})
 			}

@@ -1,6 +1,10 @@
 package emodel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -259,10 +263,12 @@ func BenchmarkBuildSync300(b *testing.B) {
 // TestCWTWeightMatchesScan is the oracle for the Uniform offset table: over
 // random node counts, rates, period lengths and seeds, the tabled weight
 // equals the generic NextAwake scan bit for bit on every directed pair.
+// The cycle counts straddle the table's 64-cycle words (63, 64, 65, 129)
+// and the rates straddle its bit planes (255, 256, 257, 65536).
 func TestCWTWeightMatchesScan(t *testing.T) {
 	src := rng.New(2012)
-	for _, r := range []int{1, 2, 3, 10, 50, 300} {
-		for _, cycles := range []int{1, 2, 7, 0} {
+	for _, r := range []int{1, 2, 3, 10, 50, 255, 256, 257, 300, 1 << 16} {
+		for _, cycles := range []int{1, 2, 7, 63, 64, 65, 129, 0} {
 			for trial := 0; trial < 3; trial++ {
 				n := 2 + src.Intn(8)
 				s := dutycycle.NewUniform(n, r, src.Uint64(), cycles)
@@ -309,5 +315,121 @@ func BenchmarkBuildAsync100(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = BuildAsync(d.G, s)
+	}
+}
+
+// buildDigest is a SHA-256 over a table's E bits, Updates and Edge flags,
+// in node order.
+func buildDigest(tab *Table) string {
+	h := sha256.New()
+	var b [8]byte
+	for u := range tab.E {
+		for _, e := range tab.E[u] {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(e))
+			h.Write(b[:])
+		}
+		binary.LittleEndian.PutUint64(b[:], uint64(tab.Updates[u]))
+		h.Write(b[:])
+		if tab.Edge[u] {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildTableGolden pins Build bit for bit — every E entry, Theorem 3's
+// update counts and the edge flags — on paper deployments under both
+// seedings, synchronous and at four duty-cycle rates. The digests were
+// recorded from the per-edge weight cache and the uint16 offset rows; the
+// plane-sliced table and the lazy relaxation must reproduce them exactly.
+// TwoPass and OnePass agree here because an empty quadrant is itself a π/2
+// angular gap: every node pass 2 could seed is an edge node seeded in pass 1.
+func TestBuildTableGolden(t *testing.T) {
+	want := map[string]string{
+		"n100/sync/TwoPass": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
+		"n100/sync/OnePass": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
+		"n100/r2/TwoPass":   "892e25ae3deef585a3694e9bd002d1cc4fdda952bd579e7af9f3b45a525e0e9b",
+		"n100/r2/OnePass":   "892e25ae3deef585a3694e9bd002d1cc4fdda952bd579e7af9f3b45a525e0e9b",
+		"n100/r10/TwoPass":  "4d54e631b55411173b33ce4f666e08357b24a1545e3419bc46fd1fcf291c0c17",
+		"n100/r10/OnePass":  "4d54e631b55411173b33ce4f666e08357b24a1545e3419bc46fd1fcf291c0c17",
+		"n100/r50/TwoPass":  "f03d76c1a9b7f3524f029d035c922fc05e14e1f9fe17a5bc04901a56d4bde26c",
+		"n100/r50/OnePass":  "f03d76c1a9b7f3524f029d035c922fc05e14e1f9fe17a5bc04901a56d4bde26c",
+		"n100/r300/TwoPass": "2526d11c47ee3104174fe08d2044d110b5ee2c901d9f40986b30dc5398814ec3",
+		"n100/r300/OnePass": "2526d11c47ee3104174fe08d2044d110b5ee2c901d9f40986b30dc5398814ec3",
+		"n300/sync/TwoPass": "f13035ed0e33fa497f1de73c88c9c114092e2f15fab4e2ec8e187852f14ab9b7",
+		"n300/sync/OnePass": "f13035ed0e33fa497f1de73c88c9c114092e2f15fab4e2ec8e187852f14ab9b7",
+		"n300/r2/TwoPass":   "88c34b64343b5bf1d5d9938b69bc6eff0aac637729c4bd191aa766b73256651b",
+		"n300/r2/OnePass":   "88c34b64343b5bf1d5d9938b69bc6eff0aac637729c4bd191aa766b73256651b",
+		"n300/r10/TwoPass":  "77aba08199560f40b6b87899dde2db2eb3343e251735110c14ab83b16f096c3d",
+		"n300/r10/OnePass":  "77aba08199560f40b6b87899dde2db2eb3343e251735110c14ab83b16f096c3d",
+		"n300/r50/TwoPass":  "b69b81649f86528478a14e856f8eb3b7102f14d9aca8f8226254452527c7bd90",
+		"n300/r50/OnePass":  "b69b81649f86528478a14e856f8eb3b7102f14d9aca8f8226254452527c7bd90",
+		"n300/r300/TwoPass": "db92d2607a1975a1955989a74686f8d0e262291812a9f29af824adfe1c1a1871",
+		"n300/r300/OnePass": "db92d2607a1975a1955989a74686f8d0e262291812a9f29af824adfe1c1a1871",
+	}
+	for _, n := range []int{100, 300} {
+		d, err := topology.Generate(topology.PaperConfig(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []int{1, 2, 10, 50, 300} {
+			w, wname := HopWeight, "sync"
+			if r > 1 {
+				w, wname = CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0)), fmt.Sprintf("r%d", r)
+			}
+			for _, mode := range []Seeding{TwoPass, OnePass} {
+				name := fmt.Sprintf("n%d/%s/%s", n, wname, [...]string{"TwoPass", "OnePass"}[mode])
+				got := buildDigest(Build(d.G, w, mode))
+				if got != want[name] {
+					t.Errorf("%s: digest %s, want %s", name, got, want[name])
+				}
+			}
+		}
+	}
+}
+
+// TestWeightEvaluatedOnceAtMost pins the lazy relaxation: across both
+// passes and all four quadrants Build asks for each directed edge's weight
+// at most once, and skips every edge whose relaxation cannot lower an entry.
+// On the paper's n=100, r=10, seed-1 deployment that is 635 evaluations for
+// its 984 directed edges.
+func TestWeightEvaluatedOnceAtMost(t *testing.T) {
+	for _, n := range []int{60, 100, 300} {
+		d, err := topology.Generate(topology.PaperConfig(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := 0
+		for u := 0; u < n; u++ {
+			edges += d.G.Degree(u)
+		}
+		for _, r := range []int{1, 10} {
+			base := HopWeight
+			if r > 1 {
+				base = CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0))
+			}
+			for _, mode := range []Seeding{TwoPass, OnePass} {
+				seen := make(map[[2]graph.NodeID]bool)
+				calls := 0
+				w := func(u, v graph.NodeID) float64 {
+					e := [2]graph.NodeID{u, v}
+					if seen[e] {
+						t.Fatalf("n=%d r=%d mode=%d: weight(%d,%d) evaluated twice", n, r, mode, u, v)
+					}
+					seen[e] = true
+					calls++
+					return base(u, v)
+				}
+				Build(d.G, w, mode)
+				if calls >= edges {
+					t.Fatalf("n=%d r=%d mode=%d: %d evaluations for %d directed edges", n, r, mode, calls, edges)
+				}
+				if n == 100 && r == 10 && (calls != 635 || edges != 984) {
+					t.Fatalf("n=100 r=10 mode=%d: %d evaluations for %d directed edges, want 635 for 984", mode, calls, edges)
+				}
+			}
+		}
 	}
 }
