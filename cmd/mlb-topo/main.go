@@ -70,9 +70,12 @@ func run(n int, seed uint64, r int, printE bool, jsonOut, jsonIn string) error {
 	} else {
 		in = mlbs.SyncInstance(g, dep.Source)
 	}
-	tab := mlbs.BuildETable(in)
+	tab, err := mlbs.BuildETable(in)
+	if err != nil {
+		return err
+	}
 	edgeCount := 0
-	for _, e := range tab.Edge {
+	for _, e := range mlbs.EdgeNodes(g) {
 		if e {
 			edgeCount++
 		}

@@ -19,7 +19,7 @@ func TestDFSSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Sync(dep.G, dep.Source)
-	inc, err := NewEModel(0).Schedule(in)
+	inc, err := NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPolicyScheduleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Sync(dep.G, dep.Source)
-	sched := NewEModel(0)
+	sched := NewEModel()
 	if _, err := sched.Schedule(in); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"mlbs/internal/dutycycle"
-	"mlbs/internal/emodel"
 	"mlbs/internal/geom"
 	"mlbs/internal/graph"
 	"mlbs/internal/rng"
@@ -212,7 +211,7 @@ func TestAsyncPathWaitsForWakeups(t *testing.T) {
 	if in.Start != 1 {
 		t.Fatalf("Start = %d, want source's wake slot 1", in.Start)
 	}
-	for _, s := range []Scheduler{NewOPT(0, 0), NewGOPT(0), NewEModel(0)} {
+	for _, s := range []Scheduler{NewOPT(0, 0), NewGOPT(0), NewEModel()} {
 		res, err := s.Schedule(in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -289,7 +288,7 @@ func TestGOPTNeverWorseThanEModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := Sync(d.G, d.Source)
-		em, err := NewEModel(0).Schedule(in)
+		em, err := NewEModel().Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +409,7 @@ func TestQuickSchedulesValid(t *testing.T) {
 			Async(d.G, d.Source, wake, 0),
 		}
 		for _, in := range instances {
-			for _, s := range []Scheduler{NewOPT(50_000, 0), NewGOPT(50_000), NewEModel(0), NewEModel(emodel.OnePass)} {
+			for _, s := range []Scheduler{NewOPT(50_000, 0), NewGOPT(50_000), NewEModel()} {
 				res, err := s.Schedule(in)
 				if err != nil {
 					return false
@@ -445,11 +444,11 @@ func TestPolicyDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Sync(d.G, d.Source)
-	a, err := NewEModel(0).Schedule(in)
+	a, err := NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEModel(0).Schedule(in)
+	b, err := NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +478,7 @@ func BenchmarkEModel150(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := Sync(d.G, d.Source)
-	s := NewEModel(0)
+	s := NewEModel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Schedule(in); err != nil {
@@ -519,7 +518,7 @@ func TestEnergyAwareRule(t *testing.T) {
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	em, err := NewEModel(0).Schedule(in)
+	em, err := NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func BenchmarkMaxHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := Sync(dep.G, dep.Source)
-	res, err := NewEModel(0).Schedule(in)
+	res, err := NewEModel().Schedule(in)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func (r EModelRule) Select(g *graph.Graph, w bitset.Set, classes []color.Class, 
 	for i, cls := range classes {
 		score := -1.0
 		for _, u := range cls {
-			if s := r.Table.ScoreCovered(g, u, w); s > score {
+			if s := r.Table.Score(g, u, w); s > score {
 				score = s
 			}
 		}
@@ -72,7 +72,7 @@ func (r EnergyAwareRule) Select(g *graph.Graph, w bitset.Set, classes []color.Cl
 	for i, cls := range classes {
 		score := -1.0
 		for _, u := range cls {
-			if s := r.Table.ScoreCovered(g, u, w); s > score {
+			if s := r.Table.Score(g, u, w); s > score {
 				score = s
 			}
 		}
@@ -95,14 +95,11 @@ func NewEnergyAware() *Policy {
 	return &Policy{
 		RuleName: "E-model/energy",
 		NewRule: func(in Instance) (SelectRule, error) {
-			if !in.G.DistinctPositions() {
-				return nil, fmt.Errorf("core: E-model/energy requires distinct node positions")
+			tab, err := emodel.New(in.G, in.Wake)
+			if err != nil {
+				return nil, fmt.Errorf("core: E-model/energy: %w", err)
 			}
-			w := emodel.HopWeight
-			if in.Wake.Rate() > 1 {
-				w = emodel.CWTWeight(in.Wake)
-			}
-			return EnergyAwareRule{Table: emodel.Build(in.G, w, emodel.TwoPass)}, nil
+			return EnergyAwareRule{Table: tab}, nil
 		},
 	}
 }
@@ -157,26 +154,16 @@ type Policy struct {
 	NewRule func(in Instance) (SelectRule, error)
 }
 
-// NewEModel returns the paper's practical scheduler (Algorithm 2 + Eq. 10)
-// with the given seeding mode.
-func NewEModel(seeding emodel.Seeding) *Policy {
-	name := "E-model"
-	if seeding == emodel.OnePass {
-		name = "E-model/one-pass"
-	}
+// NewEModel returns the paper's practical scheduler (Algorithm 2 + Eq. 10).
+func NewEModel() *Policy {
 	return &Policy{
-		RuleName: name,
+		RuleName: "E-model",
 		NewRule: func(in Instance) (SelectRule, error) {
-			if !in.G.DistinctPositions() {
-				return nil, fmt.Errorf("core: %s requires distinct node positions (quadrant estimates are geometric)", name)
+			tab, err := emodel.New(in.G, in.Wake)
+			if err != nil {
+				return nil, fmt.Errorf("core: E-model: %w", err)
 			}
-			var w emodel.Weight
-			if in.Wake.Rate() == 1 {
-				w = emodel.HopWeight
-			} else {
-				w = emodel.CWTWeight(in.Wake)
-			}
-			return EModelRule{Table: emodel.Build(in.G, w, seeding)}, nil
+			return EModelRule{Table: tab}, nil
 		},
 	}
 }

@@ -5,19 +5,16 @@ import (
 
 	"mlbs/internal/core"
 	"mlbs/internal/dutycycle"
-	"mlbs/internal/emodel"
 	"mlbs/internal/sim"
 	"mlbs/internal/topology"
 )
 
-// maxCoverage, firstColor and onePass are the ablation schedulers of
-// DESIGN.md §7: utilization-greedy and plain first-color selection, and
-// the E-model seeded one-pass instead of edge-first.
+// maxCoverage and firstColor are the selection ablation schedulers of
+// DESIGN.md §7: utilization-greedy and plain first-color selection.
 func maxCoverage() core.Scheduler {
 	return core.NewPolicy("max-coverage", core.MaxCoverageRule{})
 }
 func firstColor() core.Scheduler { return core.NewPolicy("first-color", core.FirstColorRule{}) }
-func onePass() core.Scheduler    { return core.NewEModel(emodel.OnePass) }
 
 // TestAblationPoliciesFlow: every ablation scheduler yields a valid
 // schedule that the physics replays to completion.
@@ -27,7 +24,7 @@ func TestAblationPoliciesFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(dep.G, dep.Source)
-	for _, s := range []core.Scheduler{maxCoverage(), firstColor(), onePass()} {
+	for _, s := range []core.Scheduler{maxCoverage(), firstColor()} {
 		res, err := s.Schedule(in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -108,19 +105,11 @@ func instance300(b *testing.B, r int) core.Instance {
 	return core.Async(dep.G, dep.Source, dutycycle.NewUniform(300, r, 9, 0), 0)
 }
 
-// Ablation: E seeding — Algorithm 2's edge-first two-pass versus the
-// one-pass variant that seeds every empty-quadrant node immediately.
-func BenchmarkAblationESeeding(b *testing.B) {
-	in := instance300(b, 1)
-	b.Run("two-pass", func(b *testing.B) { benchScheduler(b, in, core.NewEModel(emodel.TwoPass)) })
-	b.Run("one-pass", func(b *testing.B) { benchScheduler(b, in, onePass()) })
-}
-
 // Ablation: color-selection rule — Eq. 10's max-E versus utilization-greedy
 // and plain first-color selection.
 func BenchmarkAblationSelection(b *testing.B) {
 	in := instance300(b, 1)
-	b.Run("max-E", func(b *testing.B) { benchScheduler(b, in, core.NewEModel(emodel.TwoPass)) })
+	b.Run("max-E", func(b *testing.B) { benchScheduler(b, in, core.NewEModel()) })
 	b.Run("max-coverage", func(b *testing.B) { benchScheduler(b, in, maxCoverage()) })
 	b.Run("first-color", func(b *testing.B) { benchScheduler(b, in, firstColor()) })
 }

@@ -254,7 +254,7 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 			// with it the search usually only has to prove a fail-high.
 			incumbent = NewGOPT(cfg.Budget)
 		case in.G.DistinctPositions():
-			incumbent = NewEModel(0)
+			incumbent = NewEModel()
 		default:
 			// Abstract graphs without geometry cannot host the E-model;
 			// the utilization-greedy policy is the next-best rollout.

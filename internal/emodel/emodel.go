@@ -6,6 +6,16 @@
 // the cycle waiting time t(u,v) (Eq. 11), estimated proactively by the mean
 // CWT a node can compute from its neighbor's seed.
 //
+// Algorithm 2 seeds network-edge nodes with empty quadrants in its first
+// pass and the interior local minima in its second. Here one pass is
+// Algorithm 2: quadrants are half-open 90° sectors, so a node with an
+// empty quadrant has an angular gap of at least π/2 among its neighbors
+// and is itself a network-edge node by the criterion EdgeNodes applies.
+// The first pass therefore already seeds every node the second could, and
+// Build seeds every empty-quadrant node at once without detecting edges.
+// EdgeNodes remains for callers that report or check the edge structure;
+// internal/protocol runs the paper's literal two passes against Build.
+//
 // Edge detection stands in for the paper's references [3] (convex hull) and
 // [6] (boundary construction): a node is an edge node when it lies on the
 // convex hull of the deployment or exhibits an angular gap of at least π/2
@@ -14,6 +24,7 @@
 package emodel
 
 import (
+	"errors"
 	"math"
 
 	"mlbs/internal/bitset"
@@ -23,8 +34,13 @@ import (
 )
 
 // Inf marks an unreachable estimate (no path toward an edge through the
-// quadrant); it survives in local-minimum pockets until the second pass.
+// quadrant). Every quadrant chain of a finished table ends at an
+// empty-quadrant node, so only entries not yet reached hold it.
 var Inf = math.Inf(1)
+
+// ErrCoincidentPositions reports a graph with two nodes at the same
+// position, where quadrants — and so the estimates — are undefined.
+var ErrCoincidentPositions = errors.New("emodel: quadrant estimates need distinct node positions")
 
 // Table holds E_i(u) for every node and quadrant: E[u][q.Index()].
 type Table struct {
@@ -32,8 +48,6 @@ type Table struct {
 	// Stats for Theorem 3's O(1) update claim: how many times each node's
 	// tuple entries were settled during construction.
 	Updates []int
-	// Edge flags the nodes seeded in pass 1 (network-edge nodes).
-	Edge []bool
 }
 
 // Value returns E_q(u).
@@ -51,20 +65,6 @@ func (t *Table) MaxFinite() float64 {
 	}
 	return max
 }
-
-// Seeding selects how zero values are planted before relaxation.
-type Seeding int
-
-const (
-	// TwoPass follows Algorithm 2 exactly: pass 1 seeds only network-edge
-	// nodes with empty quadrants; pass 2 seeds the still-∞ nodes with empty
-	// quadrants (interior local minima) and relaxes only the remaining ∞
-	// values.
-	TwoPass Seeding = iota
-	// OnePass seeds every node with an empty quadrant immediately — the
-	// ablation variant that skips the edge-first structure.
-	OnePass
-)
 
 // EdgeNodes reports which nodes lie on the network edge: convex-hull
 // membership or a ≥ π/2 angular gap among neighbor directions.
@@ -117,66 +117,53 @@ func CWTWeight(s dutycycle.Schedule) Weight {
 	return func(u, v graph.NodeID) float64 { return dutycycle.MeanCWT(s, u, v) }
 }
 
-// Build constructs the E table for graph g per Algorithm 2.
+// New builds the E table for an instance's graph and wake schedule: hop
+// weights (Eq. 9) when wake is nil or wakes every slot, mean-CWT weights
+// (Eq. 11) otherwise. It is the one place that choice is made, and it
+// rejects coincident positions, which QuadrantOf cannot classify.
+func New(g *graph.Graph, wake dutycycle.Schedule) (*Table, error) {
+	if !g.DistinctPositions() {
+		return nil, ErrCoincidentPositions
+	}
+	w := HopWeight
+	if wake != nil && wake.Rate() > 1 {
+		w = CWTWeight(wake)
+	}
+	return Build(g, w), nil
+}
+
+// Build constructs the E table for graph g per Algorithm 2, seeding every
+// node with an empty quadrant at 0 (see the package comment for why one
+// pass suffices). Positions must be distinct.
 //
 // Relaxation solves E_i(u) = min over v ∈ N(u)∩Q_i(u) of w(u,v) + E_i(v)
 // exactly (Dijkstra from the seeded zeros along reversed constraint edges),
-// which settles every node's entry at most once per pass — the O(1)
+// which settles every node's entry exactly once per quadrant — the O(1)
 // information-exchange property of Theorem 3.
-func Build(g *graph.Graph, w Weight, seeding Seeding) *Table {
+func Build(g *graph.Graph, w Weight) *Table {
 	n := g.N()
 	t := &Table{
 		E:       make([][4]float64, n),
 		Updates: make([]int, n),
-		Edge:    EdgeNodes(g),
 	}
-	emptyQ := make([][4]bool, n)
-	for u := 0; u < n; u++ {
-		for qi := range geom.Quadrants {
-			emptyQ[u][qi] = !g.HasNeighborInQuadrant(u, geom.Quadrants[qi])
-			t.E[u][qi] = Inf
-		}
-	}
-
-	// One relaxation scratch serves every quadrant of every pass: the
-	// search constructs an incumbent E-model rollout inside each OPT/G-OPT
-	// call, so Build must not allocate per node settled.
-	rx := &relaxScratch{
-		eligible: make([]bool, n),
-		settled:  make([]bool, n),
-	}
+	// One frontier serves every quadrant: the search constructs an
+	// incumbent E-model rollout inside each OPT/G-OPT call, so Build must
+	// not allocate per node settled.
+	var frontier pq
 	var seeds []graph.NodeID
-	seedAndRelax := func(maySeed func(u int) bool) {
-		for qi, q := range geom.Quadrants {
-			seeds = seeds[:0]
-			for u := 0; u < n; u++ {
-				if math.IsInf(t.E[u][qi], 1) && emptyQ[u][qi] && maySeed(u) {
-					t.E[u][qi] = 0
-					t.Updates[u]++
-					seeds = append(seeds, u)
-				}
+	for qi, q := range geom.Quadrants {
+		seeds = seeds[:0]
+		for u := 0; u < n; u++ {
+			if g.HasNeighborInQuadrant(u, q) {
+				t.E[u][qi] = Inf
+			} else {
+				t.Updates[u]++ // E_q(u) stays 0: u seeds the quadrant
+				seeds = append(seeds, u)
 			}
-			relaxQuadrant(g, w, q, t, seeds, rx)
 		}
+		relaxQuadrant(g, w, q, t, seeds, &frontier)
 	}
-
-	if seeding == OnePass {
-		seedAndRelax(func(u int) bool { return true })
-		return t
-	}
-	// Pass 1: network-edge nodes only (Algorithm 2 steps 1–4).
-	seedAndRelax(func(u int) bool { return t.Edge[u] })
-	// Pass 2: interior local minima (steps 5–6) — only ∞ entries update.
-	seedAndRelax(func(u int) bool { return true })
 	return t
-}
-
-// BuildSync builds the synchronous-table of Eq. 9 with two-pass seeding.
-func BuildSync(g *graph.Graph) *Table { return Build(g, HopWeight, TwoPass) }
-
-// BuildAsync builds the duty-cycle table of Eq. 11 with two-pass seeding.
-func BuildAsync(g *graph.Graph, s dutycycle.Schedule) *Table {
-	return Build(g, CWTWeight(s), TwoPass)
 }
 
 // pqItem is a Dijkstra frontier entry.
@@ -236,95 +223,58 @@ func (p *pq) pop() pqItem {
 	return top
 }
 
-// relaxScratch holds the per-node Dijkstra state reused across quadrants
-// and passes: eligibility (entry was ∞ at pass start), settlement, and the
-// frontier heap's backing array.
-type relaxScratch struct {
-	eligible []bool
-	settled  []bool
-	frontier pq
-}
-
-// relaxQuadrant runs Dijkstra for quadrant q from the given zero seeds.
-// The constraint edge u→v exists when v ∈ N(u)∩Q_q(u); Dijkstra walks the
-// reverse direction: settling v improves every u that sees v in its
-// quadrant q. Only entries that were ∞ when the pass started may receive
-// values, as Algorithm 2 requires ("update its ∞ value and only ∞ value");
-// within the pass an unsettled entry may still tighten (Dijkstra's
-// decrease-key — the node has not announced its value yet, so this is not
-// a second information exchange).
+// relaxQuadrant runs Dijkstra for quadrant q from the given zero seeds,
+// on the caller's frontier heap. The constraint edge u→v exists when
+// v ∈ N(u)∩Q_q(u); Dijkstra walks the reverse direction: settling v
+// improves every u that sees v in its quadrant q. An unsettled entry may
+// still tighten (Dijkstra's decrease-key — the node has not announced its
+// value yet, so this is not a second information exchange); Updates
+// counts first assignments only.
 //
-// Each v settles at most once per quadrant over both passes (pass 2 pushes
-// only entries that were ∞), so every directed edge is relaxed at most once
-// per Build and its weight needs no cache. The weight is not evaluated at
-// all when the relaxation cannot change u: u is settled, u is finite but
-// not eligible in this pass, or E(u) ≤ E(v)+1 already, since w ≥ 1.
-func relaxQuadrant(g *graph.Graph, w Weight, q geom.Quadrant, t *Table, seeds []graph.NodeID, rx *relaxScratch) {
+// Every weight is at least 1, so when v settles each already-settled u
+// has E(u) ≤ E(v) and the single test E(u) ≤ E(v)+1 skips it along with
+// every other u no weight can lower; the weight is not evaluated for
+// those edges. An entry is pushed only when it strictly drops, so the one
+// heap item whose distance equals the final entry settles v exactly once;
+// every directed edge is relaxed at most once per Build and its weight
+// needs no cache.
+func relaxQuadrant(g *graph.Graph, w Weight, q geom.Quadrant, t *Table, seeds []graph.NodeID, frontier *pq) {
 	qi := q.Index()
-	frontier := rx.frontier[:0]
-	eligible, settled := rx.eligible, rx.settled
-	for i := range eligible {
-		eligible[i] = false
-		settled[i] = false
-	}
 	for _, s := range seeds {
 		frontier.push(pqItem{s, 0})
-		eligible[s] = true
 	}
-	for len(frontier) > 0 {
+	for len(*frontier) > 0 {
 		it := frontier.pop()
 		v := it.node
-		if settled[v] || it.dist > t.E[v][qi] {
-			continue
-		}
-		settled[v] = true
 		ev := t.E[v][qi]
+		if it.dist > ev {
+			continue // stale: v was pushed again with a smaller distance
+		}
 		for _, u := range g.Adj(v) {
 			eu := t.E[u][qi]
-			fresh := math.IsInf(eu, 1)
-			if !fresh && (!eligible[u] || settled[u] || eu <= ev+1) {
-				continue // E(u) is fixed, or no weight ≥ 1 can lower it
+			if eu <= ev+1 {
+				continue // E(u) is settled, or no weight ≥ 1 can lower it
 			}
 			if geom.QuadrantOf(g.Pos(u), g.Pos(v)) != q {
 				continue // v is not in u's quadrant q
 			}
-			cand := w(u, v) + ev
-			if fresh {
-				t.E[u][qi] = cand
-				t.Updates[u]++
-				eligible[u] = true
-				frontier.push(pqItem{u, cand})
-			} else if cand < eu {
+			if cand := w(u, v) + ev; cand < eu {
+				if math.IsInf(eu, 1) {
+					t.Updates[u]++
+				}
 				t.E[u][qi] = cand
 				frontier.push(pqItem{u, cand})
 			}
 		}
 	}
-	rx.frontier = frontier[:0]
 }
 
 // Score evaluates Eq. 10 for a candidate u: the maximum E_k(u) over
-// quadrants k in which u still has uncovered neighbors (isUncovered
-// reports coverage). Returns -1 when u has no uncovered neighbor at all.
-// Completed tables have no ∞ entries (every quadrant chain terminates at
-// an empty-quadrant node), so the result is finite in practice.
-func (t *Table) Score(g *graph.Graph, u graph.NodeID, isUncovered func(v graph.NodeID) bool) float64 {
-	best := -1.0
-	for _, v := range g.Adj(u) {
-		if !isUncovered(v) {
-			continue
-		}
-		if e := t.E[u][geom.QuadrantOf(g.Pos(u), g.Pos(v)).Index()]; e > best {
-			best = e
-		}
-	}
-	return best
-}
-
-// ScoreCovered is Score with coverage given directly as a bitset — the
-// form the scheduler's rollout loop calls, avoiding a per-evaluation
-// predicate closure.
-func (t *Table) ScoreCovered(g *graph.Graph, u graph.NodeID, covered bitset.Set) float64 {
+// quadrants k in which u still has an uncovered neighbor. Returns -1 when
+// every neighbor of u is covered. Completed tables have no ∞ entries
+// (every quadrant chain terminates at an empty-quadrant node), so the
+// result is finite in practice.
+func (t *Table) Score(g *graph.Graph, u graph.NodeID, covered bitset.Set) float64 {
 	best := -1.0
 	for _, v := range g.Adj(u) {
 		if covered.Has(v) {

@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"mlbs/internal/bitset"
 	"mlbs/internal/dutycycle"
 	"mlbs/internal/geom"
 	"mlbs/internal/graph"
@@ -28,7 +31,7 @@ func lineGraph(n int) *graph.Graph {
 func TestLineSyncE(t *testing.T) {
 	const n = 5
 	g := lineGraph(n)
-	tab := BuildSync(g)
+	tab := Build(g, HopWeight)
 	for i := 0; i < n; i++ {
 		// Eastern neighbor (dx>0, dy=0) is in Q1; western in Q3.
 		if got := tab.Value(i, geom.Q1); got != float64(n-1-i) {
@@ -69,7 +72,7 @@ func TestEmptyQuadrantIsZeroAndConverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := BuildSync(d.G)
+	tab := Build(d.G, HopWeight)
 	for u := 0; u < d.G.N(); u++ {
 		for qi, q := range geom.Quadrants {
 			empty := len(d.G.NeighborsInQuadrant(u, q)) == 0
@@ -87,26 +90,24 @@ func TestAllEntriesFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []Seeding{TwoPass, OnePass} {
-			tab := Build(d.G, HopWeight, mode)
-			for u := 0; u < d.G.N(); u++ {
-				for qi := range geom.Quadrants {
-					if math.IsInf(tab.E[u][qi], 1) {
-						t.Fatalf("seed %d mode %v: E[%d][%d] = ∞ after build", seed, mode, u, qi)
-					}
+		tab := Build(d.G, HopWeight)
+		for u := 0; u < d.G.N(); u++ {
+			for qi := range geom.Quadrants {
+				if math.IsInf(tab.E[u][qi], 1) {
+					t.Fatalf("seed %d: E[%d][%d] = ∞ after build", seed, u, qi)
 				}
 			}
 		}
 	}
 }
 
-func TestOnePassSatisfiesRecurrence(t *testing.T) {
+func TestBuildSatisfiesRecurrence(t *testing.T) {
 	d, err := topology.Generate(topology.PaperConfig(100), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := d.G
-	tab := Build(g, HopWeight, OnePass)
+	tab := Build(g, HopWeight)
 	for u := 0; u < g.N(); u++ {
 		for qi, q := range geom.Quadrants {
 			nbrs := g.NeighborsInQuadrant(u, q)
@@ -129,33 +130,14 @@ func TestOnePassSatisfiesRecurrence(t *testing.T) {
 	}
 }
 
-func TestTwoPassDominatesOnePass(t *testing.T) {
-	// TwoPass restricts pass-1 seeding to edge nodes, so its estimates are
-	// pointwise ≥ the unrestricted shortest distance of OnePass.
-	d, err := topology.Generate(topology.PaperConfig(150), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two := Build(d.G, HopWeight, TwoPass)
-	one := Build(d.G, HopWeight, OnePass)
-	for u := 0; u < d.G.N(); u++ {
-		for qi := range geom.Quadrants {
-			if two.E[u][qi] < one.E[u][qi]-1e-9 {
-				t.Fatalf("node %d q%d: two-pass %v < one-pass %v", u, qi, two.E[u][qi], one.E[u][qi])
-			}
-		}
-	}
-}
-
-// Theorem 3: each node's tuple settles at most once per quadrant per pass —
-// at most 8 updates per node over the two passes, and exactly 4 once built
-// when counted per quadrant (every entry receives exactly one value).
+// Theorem 3: each node's tuple entry settles exactly once per quadrant, so
+// every node records exactly 4 updates (every entry receives one value).
 func TestTheorem3UpdateCount(t *testing.T) {
 	d, err := topology.Generate(topology.PaperConfig(200), 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := BuildSync(d.G)
+	tab := Build(d.G, HopWeight)
 	for u, c := range tab.Updates {
 		if c != 4 {
 			t.Fatalf("node %d settled %d entries, want exactly 4 (one per quadrant)", u, c)
@@ -169,7 +151,7 @@ func TestAsyncWeightsAreCWT(t *testing.T) {
 	pos := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
 	g := graph.FromUDG(pos, 1)
 	s := dutycycle.NewPeriodicPhase(4, []int{0, 1})
-	tab := BuildAsync(g, s)
+	tab := Build(g, CWTWeight(s))
 	if got := tab.Value(0, geom.Q1); got != 1 {
 		t.Fatalf("async E1(0) = %v, want 1 (CWT)", got)
 	}
@@ -181,29 +163,30 @@ func TestAsyncWeightsAreCWT(t *testing.T) {
 
 func TestScore(t *testing.T) {
 	g := lineGraph(4)
-	tab := BuildSync(g)
-	covered := map[int]bool{0: true, 1: true}
-	isUncovered := func(v graph.NodeID) bool { return !covered[v] }
+	tab := Build(g, HopWeight)
+	covered := bitset.New(4)
+	covered.Add(0)
+	covered.Add(1)
 	// Node 1's only uncovered neighbor is 2, east (Q1): E1(1) = 2.
-	if got := tab.Score(g, 1, isUncovered); got != 2 {
+	if got := tab.Score(g, 1, covered); got != 2 {
 		t.Fatalf("Score(1) = %v, want 2", got)
 	}
 	// Node 0 has no uncovered neighbors.
-	if got := tab.Score(g, 0, isUncovered); got != -1 {
+	if got := tab.Score(g, 0, covered); got != -1 {
 		t.Fatalf("Score(0) = %v, want -1", got)
 	}
 }
 
 func TestMaxFinite(t *testing.T) {
 	g := lineGraph(6)
-	tab := BuildSync(g)
+	tab := Build(g, HopWeight)
 	if got := tab.MaxFinite(); got != 5 {
 		t.Fatalf("MaxFinite = %v, want 5", got)
 	}
 }
 
-// Property: on random connected deployments every entry is finite, zero
-// exactly on empty quadrants, and two-pass dominates one-pass.
+// Property: on random connected deployments every entry is finite and zero
+// exactly on empty quadrants.
 func TestQuickBuildInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg := topology.Config{N: 40, AreaSide: 25, Radius: 10, MaxRetries: 50}
@@ -211,18 +194,14 @@ func TestQuickBuildInvariants(t *testing.T) {
 		if err != nil {
 			return true // rare disconnected-only seeds are not the property under test
 		}
-		two := Build(d.G, HopWeight, TwoPass)
-		one := Build(d.G, HopWeight, OnePass)
+		tab := Build(d.G, HopWeight)
 		for u := 0; u < d.G.N(); u++ {
 			for qi, q := range geom.Quadrants {
-				if math.IsInf(two.E[u][qi], 1) || math.IsInf(one.E[u][qi], 1) {
+				if math.IsInf(tab.E[u][qi], 1) {
 					return false
 				}
 				empty := len(d.G.NeighborsInQuadrant(u, q)) == 0
-				if (two.E[u][qi] == 0) != empty {
-					return false
-				}
-				if two.E[u][qi] < one.E[u][qi]-1e-9 {
+				if (tab.E[u][qi] == 0) != empty {
 					return false
 				}
 			}
@@ -256,7 +235,7 @@ func BenchmarkBuildSync300(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildSync(d.G)
+		_ = Build(d.G, HopWeight)
 	}
 }
 
@@ -314,13 +293,14 @@ func BenchmarkBuildAsync100(b *testing.B) {
 	s := dutycycle.NewUniform(100, 10, 1^0xA5, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildAsync(d.G, s)
+		_ = Build(d.G, CWTWeight(s))
 	}
 }
 
-// buildDigest is a SHA-256 over a table's E bits, Updates and Edge flags,
-// in node order.
-func buildDigest(tab *Table) string {
+// buildDigest is a SHA-256 over a table's E bits and Updates and the
+// graph's edge-node flags, in node order.
+func buildDigest(g *graph.Graph, tab *Table) string {
+	edge := EdgeNodes(g)
 	h := sha256.New()
 	var b [8]byte
 	for u := range tab.E {
@@ -330,7 +310,7 @@ func buildDigest(tab *Table) string {
 		}
 		binary.LittleEndian.PutUint64(b[:], uint64(tab.Updates[u]))
 		h.Write(b[:])
-		if tab.Edge[u] {
+		if edge[u] {
 			h.Write([]byte{1})
 		} else {
 			h.Write([]byte{0})
@@ -340,34 +320,24 @@ func buildDigest(tab *Table) string {
 }
 
 // TestBuildTableGolden pins Build bit for bit — every E entry, Theorem 3's
-// update counts and the edge flags — on paper deployments under both
-// seedings, synchronous and at four duty-cycle rates. The digests were
-// recorded from the per-edge weight cache and the uint16 offset rows; the
-// plane-sliced table and the lazy relaxation must reproduce them exactly.
-// TwoPass and OnePass agree here because an empty quadrant is itself a π/2
-// angular gap: every node pass 2 could seed is an edge node seeded in pass 1.
+// update counts and the edge flags — on paper deployments, synchronous and
+// at four duty-cycle rates. The digests were recorded from the two-pass
+// build with its per-edge weight cache, uint16 offset rows and edge flags
+// stored in the table; the one-pass build, the plane-sliced table and the
+// lazy relaxation reproduce them exactly, with EdgeNodes hashed in place
+// of the stored flags.
 func TestBuildTableGolden(t *testing.T) {
 	want := map[string]string{
-		"n100/sync/TwoPass": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
-		"n100/sync/OnePass": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
-		"n100/r2/TwoPass":   "892e25ae3deef585a3694e9bd002d1cc4fdda952bd579e7af9f3b45a525e0e9b",
-		"n100/r2/OnePass":   "892e25ae3deef585a3694e9bd002d1cc4fdda952bd579e7af9f3b45a525e0e9b",
-		"n100/r10/TwoPass":  "4d54e631b55411173b33ce4f666e08357b24a1545e3419bc46fd1fcf291c0c17",
-		"n100/r10/OnePass":  "4d54e631b55411173b33ce4f666e08357b24a1545e3419bc46fd1fcf291c0c17",
-		"n100/r50/TwoPass":  "f03d76c1a9b7f3524f029d035c922fc05e14e1f9fe17a5bc04901a56d4bde26c",
-		"n100/r50/OnePass":  "f03d76c1a9b7f3524f029d035c922fc05e14e1f9fe17a5bc04901a56d4bde26c",
-		"n100/r300/TwoPass": "2526d11c47ee3104174fe08d2044d110b5ee2c901d9f40986b30dc5398814ec3",
-		"n100/r300/OnePass": "2526d11c47ee3104174fe08d2044d110b5ee2c901d9f40986b30dc5398814ec3",
-		"n300/sync/TwoPass": "f13035ed0e33fa497f1de73c88c9c114092e2f15fab4e2ec8e187852f14ab9b7",
-		"n300/sync/OnePass": "f13035ed0e33fa497f1de73c88c9c114092e2f15fab4e2ec8e187852f14ab9b7",
-		"n300/r2/TwoPass":   "88c34b64343b5bf1d5d9938b69bc6eff0aac637729c4bd191aa766b73256651b",
-		"n300/r2/OnePass":   "88c34b64343b5bf1d5d9938b69bc6eff0aac637729c4bd191aa766b73256651b",
-		"n300/r10/TwoPass":  "77aba08199560f40b6b87899dde2db2eb3343e251735110c14ab83b16f096c3d",
-		"n300/r10/OnePass":  "77aba08199560f40b6b87899dde2db2eb3343e251735110c14ab83b16f096c3d",
-		"n300/r50/TwoPass":  "b69b81649f86528478a14e856f8eb3b7102f14d9aca8f8226254452527c7bd90",
-		"n300/r50/OnePass":  "b69b81649f86528478a14e856f8eb3b7102f14d9aca8f8226254452527c7bd90",
-		"n300/r300/TwoPass": "db92d2607a1975a1955989a74686f8d0e262291812a9f29af824adfe1c1a1871",
-		"n300/r300/OnePass": "db92d2607a1975a1955989a74686f8d0e262291812a9f29af824adfe1c1a1871",
+		"n100/sync": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
+		"n100/r2":   "892e25ae3deef585a3694e9bd002d1cc4fdda952bd579e7af9f3b45a525e0e9b",
+		"n100/r10":  "4d54e631b55411173b33ce4f666e08357b24a1545e3419bc46fd1fcf291c0c17",
+		"n100/r50":  "f03d76c1a9b7f3524f029d035c922fc05e14e1f9fe17a5bc04901a56d4bde26c",
+		"n100/r300": "2526d11c47ee3104174fe08d2044d110b5ee2c901d9f40986b30dc5398814ec3",
+		"n300/sync": "f13035ed0e33fa497f1de73c88c9c114092e2f15fab4e2ec8e187852f14ab9b7",
+		"n300/r2":   "88c34b64343b5bf1d5d9938b69bc6eff0aac637729c4bd191aa766b73256651b",
+		"n300/r10":  "77aba08199560f40b6b87899dde2db2eb3343e251735110c14ab83b16f096c3d",
+		"n300/r50":  "b69b81649f86528478a14e856f8eb3b7102f14d9aca8f8226254452527c7bd90",
+		"n300/r300": "db92d2607a1975a1955989a74686f8d0e262291812a9f29af824adfe1c1a1871",
 	}
 	for _, n := range []int{100, 300} {
 		d, err := topology.Generate(topology.PaperConfig(n), 1)
@@ -379,19 +349,16 @@ func TestBuildTableGolden(t *testing.T) {
 			if r > 1 {
 				w, wname = CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0)), fmt.Sprintf("r%d", r)
 			}
-			for _, mode := range []Seeding{TwoPass, OnePass} {
-				name := fmt.Sprintf("n%d/%s/%s", n, wname, [...]string{"TwoPass", "OnePass"}[mode])
-				got := buildDigest(Build(d.G, w, mode))
-				if got != want[name] {
-					t.Errorf("%s: digest %s, want %s", name, got, want[name])
-				}
+			name := fmt.Sprintf("n%d/%s", n, wname)
+			if got := buildDigest(d.G, Build(d.G, w)); got != want[name] {
+				t.Errorf("%s: digest %s, want %s", name, got, want[name])
 			}
 		}
 	}
 }
 
-// TestWeightEvaluatedOnceAtMost pins the lazy relaxation: across both
-// passes and all four quadrants Build asks for each directed edge's weight
+// TestWeightEvaluatedOnceAtMost pins the lazy relaxation: across all four
+// quadrants Build asks for each directed edge's weight
 // at most once, and skips every edge whose relaxation cannot lower an entry.
 // On the paper's n=100, r=10, seed-1 deployment that is 635 evaluations for
 // its 984 directed edges.
@@ -410,26 +377,118 @@ func TestWeightEvaluatedOnceAtMost(t *testing.T) {
 			if r > 1 {
 				base = CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0))
 			}
-			for _, mode := range []Seeding{TwoPass, OnePass} {
-				seen := make(map[[2]graph.NodeID]bool)
-				calls := 0
-				w := func(u, v graph.NodeID) float64 {
-					e := [2]graph.NodeID{u, v}
-					if seen[e] {
-						t.Fatalf("n=%d r=%d mode=%d: weight(%d,%d) evaluated twice", n, r, mode, u, v)
-					}
-					seen[e] = true
-					calls++
-					return base(u, v)
+			seen := make(map[[2]graph.NodeID]bool)
+			calls := 0
+			w := func(u, v graph.NodeID) float64 {
+				e := [2]graph.NodeID{u, v}
+				if seen[e] {
+					t.Fatalf("n=%d r=%d: weight(%d,%d) evaluated twice", n, r, u, v)
 				}
-				Build(d.G, w, mode)
-				if calls >= edges {
-					t.Fatalf("n=%d r=%d mode=%d: %d evaluations for %d directed edges", n, r, mode, calls, edges)
+				seen[e] = true
+				calls++
+				return base(u, v)
+			}
+			Build(d.G, w)
+			if calls >= edges {
+				t.Fatalf("n=%d r=%d: %d evaluations for %d directed edges", n, r, calls, edges)
+			}
+			if n == 100 && r == 10 && (calls != 635 || edges != 984) {
+				t.Fatalf("n=100 r=10: %d evaluations for %d directed edges, want 635 for 984", calls, edges)
+			}
+		}
+	}
+}
+
+// TestEmptyQuadrantIsEdgeNode is the property that lets Build seed every
+// empty-quadrant node at once: quadrants are half-open 90° sectors, so a
+// node with an empty quadrant has an angular gap of at least π/2 among its
+// neighbors and EdgeNodes flags it. Algorithm 2's first pass therefore
+// already seeds every node its second pass could. The cases cover paper
+// deployments and lattices whose neighbors sit exactly on the quadrant
+// boundaries (the axes), unperturbed and jittered by 1e-13 and by
+// subnormal amounts.
+func TestEmptyQuadrantIsEdgeNode(t *testing.T) {
+	check := func(name string, g *graph.Graph) int {
+		t.Helper()
+		edge := EdgeNodes(g)
+		empties := 0
+		for u := 0; u < g.N(); u++ {
+			for _, q := range geom.Quadrants {
+				if g.HasNeighborInQuadrant(u, q) {
+					continue
 				}
-				if n == 100 && r == 10 && (calls != 635 || edges != 984) {
-					t.Fatalf("n=100 r=10 mode=%d: %d evaluations for %d directed edges, want 635 for 984", mode, calls, edges)
+				empties++
+				if !edge[u] {
+					t.Fatalf("%s: node %d at %v has empty %v but is not an edge node", name, u, g.Pos(u), q)
 				}
 			}
 		}
+		return empties
+	}
+	empties := 0
+	for _, n := range []int{60, 100, 150, 200, 300, 400, 500, 600} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			d, err := topology.Generate(topology.PaperConfig(n), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empties += check(fmt.Sprintf("paper n=%d seed=%d", n, seed), d.G)
+		}
+	}
+	// Lattices centred on the origin, so the jitter also reaches
+	// coordinates at ±0 where subnormal offsets are representable.
+	src := rng.New(21)
+	for _, k := range []int{2, 3, 5, 8} {
+		for _, radius := range []float64{1, math.Sqrt2, 1.5, 2} {
+			for _, jitter := range []float64{0, 1e-13, 5e-324, 1e-310} {
+				pos := make([]geom.Point, 0, k*k)
+				for y := 0; y < k; y++ {
+					for x := 0; x < k; x++ {
+						pos = append(pos, geom.Point{
+							X: float64(x-k/2) + jitter*float64(src.Intn(3)-1),
+							Y: float64(y-k/2) + jitter*float64(src.Intn(3)-1),
+						})
+					}
+				}
+				g := graph.FromUDG(pos, radius)
+				if !g.DistinctPositions() {
+					t.Fatalf("k=%d jitter=%g: coincident lattice points", k, jitter)
+				}
+				empties += check(fmt.Sprintf("lattice k=%d r=%g jitter=%g", k, radius, jitter), g)
+			}
+		}
+	}
+	if empties == 0 {
+		t.Fatal("no empty quadrant examined")
+	}
+	t.Logf("%d empty quadrants, every one on an edge node", empties)
+}
+
+// TestNew checks the one weight choice: Eq. 9's hop weight for a nil or
+// always-awake wake schedule, Eq. 11's mean CWT otherwise, and a typed
+// error for coincident positions.
+func TestNew(t *testing.T) {
+	g := lineGraph(5)
+	hop := Build(g, HopWeight)
+	for _, wake := range []dutycycle.Schedule{nil, dutycycle.AlwaysAwake{Nodes: 5}} {
+		tab, err := New(g, wake)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tab, hop) {
+			t.Fatalf("wake %v: table differs from the hop-weight build", wake)
+		}
+	}
+	s := dutycycle.NewPeriodicPhase(4, []int{0, 3, 1, 2, 0})
+	tab, err := New(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Build(g, CWTWeight(s)); !reflect.DeepEqual(tab, want) || reflect.DeepEqual(tab, hop) {
+		t.Fatal("duty-cycle table is not the CWT-weight build")
+	}
+	coincident := graph.FromUDG([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 0}}, 1)
+	if _, err := New(coincident, nil); !errors.Is(err, ErrCoincidentPositions) {
+		t.Fatalf("coincident positions: err = %v, want ErrCoincidentPositions", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mlbs/internal/core"
 	"mlbs/internal/dutycycle"
-	"mlbs/internal/emodel"
 	"mlbs/internal/localized"
 	"mlbs/internal/rng"
 	"mlbs/internal/sim"
@@ -94,23 +93,22 @@ func ablationDeployments(cfg Config) ([]*topology.Deployment, error) {
 }
 
 // AblationSelection compares color-selection rules under the same greedy
-// colors: Eq. 10's max-E (two-pass and one-pass seeding), max-coverage,
-// first-color, and uniform-random selection.
+// colors: Eq. 10's max-E, max-coverage, first-color, and uniform-random
+// selection.
 func AblationSelection(cfg Config) (*Ablation, error) {
 	deps, err := ablationDeployments(cfg)
 	if err != nil {
 		return nil, err
 	}
-	variants := []string{"max-E/two-pass", "max-E/one-pass", "max-coverage", "first-color", "random"}
+	variants := []string{"max-E", "max-coverage", "first-color", "random"}
 	a := newAblation("ablation-selection", "color selection rule (sync, greedy colors fixed)", variants)
 	for ti, d := range deps {
 		in := core.Sync(d.G, d.Source)
 		schedulers := map[string]core.Scheduler{
-			"max-E/two-pass": core.NewEModel(emodel.TwoPass),
-			"max-E/one-pass": core.NewEModel(emodel.OnePass),
-			"max-coverage":   core.NewPolicy("max-coverage", core.MaxCoverageRule{}),
-			"first-color":    core.NewPolicy("first-color", core.FirstColorRule{}),
-			"random":         core.NewPolicy("random", core.RandomRule{Src: rng.New(cfg.Seed ^ uint64(ti))}),
+			"max-E":        core.NewEModel(),
+			"max-coverage": core.NewPolicy("max-coverage", core.MaxCoverageRule{}),
+			"first-color":  core.NewPolicy("first-color", core.FirstColorRule{}),
+			"random":       core.NewPolicy("random", core.RandomRule{Src: rng.New(cfg.Seed ^ uint64(ti))}),
 		}
 		for _, v := range variants {
 			res, err := schedulers[v].Schedule(in)
@@ -188,7 +186,7 @@ func AblationWakeFamily(cfg Config) (*Ablation, error) {
 			in := core.Async(d.G, d.Source, wake, 0)
 			for name, s := range map[string]core.Scheduler{
 				"G-OPT":   core.NewGOPT(cfg.GOPTBudget),
-				"E-model": core.NewEModel(emodel.TwoPass),
+				"E-model": core.NewEModel(),
 			} {
 				res, err := s.Schedule(in)
 				if err != nil {
@@ -223,7 +221,7 @@ func AblationRobustness(cfg Config, rates []float64) (*Ablation, error) {
 	a := newAblation("ablation-robustness", "lossy channel: offline plan vs localized retransmission (sync)", variants)
 	for ti, d := range deps {
 		in := core.Sync(d.G, d.Source)
-		plan, err := core.NewEModel(0).Schedule(in)
+		plan, err := core.NewEModel().Schedule(in)
 		if err != nil {
 			return nil, err
 		}

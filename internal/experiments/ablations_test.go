@@ -14,7 +14,7 @@ func TestAblationSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Variants) != 5 {
+	if len(a.Variants) != 4 {
 		t.Fatalf("variants = %v", a.Variants)
 	}
 	for _, v := range a.Variants {
@@ -27,7 +27,7 @@ func TestAblationSelection(t *testing.T) {
 		}
 	}
 	out := a.Format()
-	if !strings.Contains(out, "max-E/two-pass") || !strings.Contains(out, "latency") {
+	if !strings.Contains(out, "max-E") || !strings.Contains(out, "latency") {
 		t.Fatalf("format:\n%s", out)
 	}
 }

@@ -30,7 +30,7 @@ func syncSchedulers(cfg Config) schedulerFn {
 			{Series26Approx, baseline.New26(), false},
 			{SeriesOPT, core.NewOPT(cfg.OPTBudget, cfg.OPTMaxSets), true},
 			{SeriesGOPT, core.NewGOPT(cfg.GOPTBudget), true},
-			{SeriesEModel, core.NewEModel(0), false},
+			{SeriesEModel, core.NewEModel(), false},
 		}
 	}
 }
@@ -42,7 +42,7 @@ func asyncSchedulers(cfg Config) schedulerFn {
 			{Series17Approx, baseline.New17(), false},
 			{SeriesOPT, core.NewOPT(cfg.OPTBudget, cfg.OPTMaxSets), true},
 			{SeriesGOPT, core.NewGOPT(cfg.GOPTBudget), true},
-			{SeriesEModel, core.NewEModel(0), false},
+			{SeriesEModel, core.NewEModel(), false},
 		}
 	}
 }

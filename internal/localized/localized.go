@@ -51,7 +51,6 @@ func priority(recvU int, scoreU float64, u graph.NodeID, recvV int, scoreV float
 func Policy(in core.Instance, tab *emodel.Table) sim.PolicyFunc {
 	g := in.G
 	return func(w bitset.Set, t int) []graph.NodeID {
-		isUncovered := func(v graph.NodeID) bool { return !w.Has(v) }
 		// Per-slot candidate evaluation; each entry is derivable by the
 		// node itself from beaconed neighbor state.
 		type cand struct {
@@ -67,7 +66,7 @@ func Policy(in core.Instance, tab *emodel.Table) sim.PolicyFunc {
 			if recv == 0 {
 				return
 			}
-			cands[u] = cand{recv: recv, score: tab.Score(g, u, isUncovered)}
+			cands[u] = cand{recv: recv, score: tab.Score(g, u, w)}
 		})
 		var senders []graph.NodeID
 		for u, cu := range cands {
@@ -92,18 +91,6 @@ func Policy(in core.Instance, tab *emodel.Table) sim.PolicyFunc {
 	}
 }
 
-// table builds the E estimates the priorities use.
-func table(in core.Instance) (*emodel.Table, error) {
-	if !in.G.DistinctPositions() {
-		return nil, fmt.Errorf("localized: E-model priorities need distinct node positions")
-	}
-	weight := emodel.HopWeight
-	if in.Wake.Rate() > 1 {
-		weight = emodel.CWTWeight(in.Wake)
-	}
-	return emodel.Build(in.G, weight, emodel.TwoPass), nil
-}
-
 // Run executes the localized scheme against the physics and returns the
 // physical report and as-executed schedule. The scheme is collision-free
 // by construction; Run verifies that and fails loudly otherwise.
@@ -111,9 +98,9 @@ func Run(in core.Instance) (*sim.Report, *core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tab, err := table(in)
+	tab, err := emodel.New(in.G, in.Wake)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("localized: %w", err)
 	}
 	rep, sched, err := sim.RunPolicy(in, Policy(in, tab), 0)
 	if err != nil {
@@ -137,9 +124,9 @@ func RunLossy(in core.Instance, loss sim.LossFunc) (*sim.LossyReport, *core.Sche
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tab, err := table(in)
+	tab, err := emodel.New(in.G, in.Wake)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("localized: %w", err)
 	}
 	return sim.RunPolicyLossy(in, Policy(in, tab), 0, loss)
 }

@@ -125,7 +125,7 @@ func TestLocalizedVsCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		em, err := core.NewEModel(0).Schedule(in)
+		em, err := core.NewEModel().Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}

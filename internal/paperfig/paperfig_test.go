@@ -78,12 +78,10 @@ func TestFigure2AdjacencyExact(t *testing.T) {
 // Section IV-E's worked E-model values on Figure 1.
 func TestFigure1E2Values(t *testing.T) {
 	g, _ := Figure1()
-	for _, mode := range []emodel.Seeding{emodel.TwoPass, emodel.OnePass} {
-		tab := emodel.Build(g, emodel.HopWeight, mode)
-		for node, want := range Figure1E2Want() {
-			if got := tab.Value(node, 2); got != want { // geom.Q2
-				t.Errorf("mode %v: E2(paper %d) = %v, want %v", mode, node-1, got, want)
-			}
+	tab := emodel.Build(g, emodel.HopWeight)
+	for node, want := range Figure1E2Want() {
+		if got := tab.Value(node, 2); got != want { // geom.Q2
+			t.Errorf("E2(paper %d) = %v, want %v", node-1, got, want)
 		}
 	}
 }
@@ -209,7 +207,7 @@ func TestTableIIIOptimalPath(t *testing.T) {
 func TestFigure1EModelSelectsMagenta(t *testing.T) {
 	g, src := Figure1()
 	in := core.Sync(g, src)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,7 @@ func TestTableII(t *testing.T) {
 	classes := color.GreedySync(g, w)
 	assertClasses(t, classes, [][]graph.NodeID{{Fig2N2}, {Fig2N3}})
 
-	for _, s := range []core.Scheduler{core.NewGOPT(0), core.NewOPT(0, 0), core.NewEModel(0)} {
+	for _, s := range []core.Scheduler{core.NewGOPT(0), core.NewOPT(0, 0), core.NewEModel()} {
 		res, err := s.Schedule(in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -294,7 +292,7 @@ func TestFigure2bDeferred(t *testing.T) {
 func TestTableIV(t *testing.T) {
 	g, src := Figure2()
 	in := core.Instance{G: g, Source: src, Start: 2, Wake: TableIVWake()}
-	for _, s := range []core.Scheduler{core.NewGOPT(0), core.NewOPT(0, 0), core.NewEModel(0)} {
+	for _, s := range []core.Scheduler{core.NewGOPT(0), core.NewOPT(0, 0), core.NewEModel()} {
 		res, err := s.Schedule(in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

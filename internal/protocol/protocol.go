@@ -14,9 +14,12 @@
 //     most once per pass — the Exchanges counter makes the claim testable
 //     message by message.
 //
-// The resulting tables are bit-identical to the centralized
-// emodel.Build, which the tests assert; the package exists to demonstrate
-// (and count) the communication the paper argues is O(1) per node.
+// The protocol keeps the paper's two passes literally — edge nodes first,
+// interior local minima second — while the centralized emodel.Build seeds
+// every empty-quadrant node in one pass. The tests assert the two tables
+// are bit-identical, so the protocol is the independent check on that
+// shortcut; the package also demonstrates (and counts) the communication
+// the paper argues is O(1) per node.
 package protocol
 
 import (
@@ -113,10 +116,10 @@ func BuildE(g *graph.Graph, w emodel.Weight) (*ETableResult, error) {
 		Table: &emodel.Table{
 			E:       make([][4]float64, n),
 			Updates: make([]int, n),
-			Edge:    emodel.EdgeNodes(g),
 		},
 		PerNode: make([]int, n),
 	}
+	edge := emodel.EdgeNodes(g)
 	tab := res.Table
 	for u := 0; u < n; u++ {
 		for qi := range geom.Quadrants {
@@ -198,7 +201,7 @@ func BuildE(g *graph.Graph, w emodel.Weight) (*ETableResult, error) {
 		}
 	}
 
-	runPass(func(u graph.NodeID) bool { return tab.Edge[u] })
+	runPass(func(u graph.NodeID) bool { return edge[u] })
 	runPass(func(graph.NodeID) bool { return true })
 	return res, nil
 }

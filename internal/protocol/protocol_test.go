@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -64,26 +65,43 @@ func TestDiscoverSeedsConsistent(t *testing.T) {
 	}
 }
 
+// assertSameE fails unless the protocol's literal two-pass table equals
+// the centralized one-pass table bit for bit, Theorem 3's update counts
+// included.
+func assertSameE(t *testing.T, name string, g *graph.Graph, w emodel.Weight) {
+	t.Helper()
+	want := emodel.Build(g, w)
+	got, err := BuildE(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g.N(); u++ {
+		for qi := range geom.Quadrants {
+			if math.Float64bits(got.Table.E[u][qi]) != math.Float64bits(want.E[u][qi]) {
+				t.Fatalf("%s node %d q%d: protocol %v, centralized %v",
+					name, u, qi, got.Table.E[u][qi], want.E[u][qi])
+			}
+		}
+		if got.Table.Updates[u] != want.Updates[u] {
+			t.Fatalf("%s node %d: protocol %d updates, centralized %d",
+				name, u, got.Table.Updates[u], want.Updates[u])
+		}
+	}
+}
+
 func TestBuildEMatchesCentralizedSync(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		d, err := topology.Generate(topology.PaperConfig(120), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := emodel.Build(d.G, emodel.HopWeight, emodel.TwoPass)
-		got, err := BuildE(d.G, emodel.HopWeight)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < d.G.N(); u++ {
-			for qi := range geom.Quadrants {
-				if got.Table.E[u][qi] != want.E[u][qi] {
-					t.Fatalf("seed %d node %d q%d: protocol %v, centralized %v",
-						seed, u, qi, got.Table.E[u][qi], want.E[u][qi])
-				}
-			}
-		}
+		assertSameE(t, fmt.Sprintf("n=120 seed %d", seed), d.G, emodel.HopWeight)
 	}
+	d, err := topology.Generate(topology.PaperConfig(300), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameE(t, "n=300", d.G, emodel.HopWeight)
 }
 
 func TestBuildEMatchesCentralizedAsync(t *testing.T) {
@@ -91,19 +109,15 @@ func TestBuildEMatchesCentralizedAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wake := dutycycle.NewUniform(d.G.N(), 10, 4, 8)
-	w := emodel.CWTWeight(wake)
-	want := emodel.Build(d.G, w, emodel.TwoPass)
-	got, err := BuildE(d.G, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < d.G.N(); u++ {
-		for qi := range geom.Quadrants {
-			if math.Abs(got.Table.E[u][qi]-want.E[u][qi]) > 1e-9 {
-				t.Fatalf("node %d q%d: protocol %v, centralized %v",
-					u, qi, got.Table.E[u][qi], want.E[u][qi])
+	assertSameE(t, "r=10", d.G, emodel.CWTWeight(dutycycle.NewUniform(d.G.N(), 10, 4, 8)))
+	for _, r := range []int{2, 50} {
+		for _, n := range []int{80, 150} {
+			d, err := topology.Generate(topology.PaperConfig(n), uint64(r))
+			if err != nil {
+				t.Fatal(err)
 			}
+			wake := dutycycle.NewUniform(n, r, uint64(n)^0xA5, 0)
+			assertSameE(t, fmt.Sprintf("n=%d r=%d", n, r), d.G, emodel.CWTWeight(wake))
 		}
 	}
 }
@@ -159,7 +173,7 @@ func TestQuickProtocolMatchesCentralized(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		want := emodel.Build(d.G, emodel.HopWeight, emodel.TwoPass)
+		want := emodel.Build(d.G, emodel.HopWeight)
 		got, err := BuildE(d.G, emodel.HopWeight)
 		if err != nil {
 			return false

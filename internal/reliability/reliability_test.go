@@ -16,7 +16,7 @@ func paperInstance(t testing.TB, n int, seed uint64) (core.Instance, *core.Sched
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestEstimateDutyCycle(t *testing.T) {
 	}
 	wake := dutycycle.NewUniform(100, 10, 9, 0)
 	in := core.Async(d.G, d.Source, wake, 0)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestRepairDutyCycleSendersAwake(t *testing.T) {
 	}
 	wake := dutycycle.NewUniform(100, 8, 5, 0)
 	in := core.Async(d.G, d.Source, wake, 0)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ import (
 	"mlbs/internal/churn"
 	"mlbs/internal/core"
 	"mlbs/internal/dutycycle"
-	"mlbs/internal/emodel"
 	"mlbs/internal/graphio"
 	"mlbs/internal/improve"
 	"mlbs/internal/interference"
@@ -532,7 +531,7 @@ func newScheduler(sp spec) core.Scheduler {
 	case "opt":
 		return core.NewOPT(sp.budget, 0).NewEngine()
 	case "emodel":
-		return core.NewEModel(emodel.TwoPass)
+		return core.NewEModel()
 	case "energy":
 		return core.NewEnergyAware()
 	case "baseline26":

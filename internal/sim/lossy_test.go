@@ -54,7 +54,7 @@ func TestReplayLossyNoLossMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,12 @@ func TestRunPolicyLossyDeterministic(t *testing.T) {
 	}
 }
 
-// localizedTable builds the synchronous E table the localized policy uses.
+// localizedTable builds the E table the localized policy uses.
 func localizedTable(t *testing.T, in core.Instance) *emodel.Table {
 	t.Helper()
-	return emodel.BuildSync(in.G)
+	tab, err := emodel.New(in.G, in.Wake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }

@@ -21,7 +21,7 @@ func TestWarmLossyReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestWarmIdealReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestReplayerMatchesOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := core.Sync(d.G, d.Source)
-		res, err := core.NewEModel(0).Schedule(in)
+		res, err := core.NewEModel().Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestLossyReplayDeterministicUnderSenderOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func BenchmarkLossyReplayerReplay300(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func TestRunPolicyMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestQuickSchedulersSurvivePhysics(t *testing.T) {
 			core.Sync(d.G, d.Source),
 			core.Async(d.G, d.Source, wake, 0),
 		} {
-			for _, s := range []core.Scheduler{core.NewGOPT(30_000), core.NewEModel(0)} {
+			for _, s := range []core.Scheduler{core.NewGOPT(30_000), core.NewEModel()} {
 				res, err := s.Schedule(in)
 				if err != nil {
 					return false
@@ -298,7 +298,7 @@ func BenchmarkReplay300(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := core.Sync(d.G, d.Source)
-	res, err := core.NewEModel(0).Schedule(in)
+	res, err := core.NewEModel().Schedule(in)
 	if err != nil {
 		b.Fatal(err)
 	}

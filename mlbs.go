@@ -307,7 +307,7 @@ func GOPT() Scheduler { return core.NewGOPT(0) }
 
 // EModel returns the paper's practical scheduler: greedy colors selected
 // by the largest quadrant estimate (Algorithm 2 + Eq. 10).
-func EModel() Scheduler { return core.NewEModel(emodel.TwoPass) }
+func EModel() Scheduler { return core.NewEModel() }
 
 // Baseline26 returns the round-based BFS-layer baseline of Chen et al.
 // (the paper's 26-approximation comparison point).
@@ -319,13 +319,13 @@ func Baseline17() Scheduler { return baseline.New17() }
 
 // BuildETable constructs the E₁..E₄ quadrant estimates for an instance —
 // hop counts in the synchronous system, mean cycle waiting times in the
-// duty-cycle system (Algorithm 2, Eq. 9/11).
-func BuildETable(in Instance) *ETable {
-	if in.Wake != nil && in.Wake.Rate() > 1 {
-		return emodel.BuildAsync(in.G, in.Wake)
-	}
-	return emodel.BuildSync(in.G)
-}
+// duty-cycle system (Algorithm 2, Eq. 9/11). It fails when two nodes share
+// a position, where quadrants are undefined.
+func BuildETable(in Instance) (*ETable, error) { return emodel.New(in.G, in.Wake) }
+
+// EdgeNodes flags the network-edge nodes of g: convex-hull members and
+// nodes with an angular gap of at least π/2 among their neighbors.
+func EdgeNodes(g *Graph) []bool { return emodel.EdgeNodes(g) }
 
 // Replay executes a schedule against the interference physics and reports
 // coverage, latency, collisions, and radio usage.

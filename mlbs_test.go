@@ -75,13 +75,25 @@ func TestFacadeFixtures(t *testing.T) {
 func TestFacadeETableAndRadio(t *testing.T) {
 	g, _ := mlbs.Figure1()
 	in := mlbs.SyncInstance(g, 0)
-	tab := mlbs.BuildETable(in)
+	tab, err := mlbs.BuildETable(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tab.Value(2, 2) != 2 { // paper node 1, quadrant 2
 		t.Fatalf("E2(node 1) = %v, want 2", tab.Value(2, 2))
 	}
 	radio := mlbs.Mica2()
 	if radio.BroadcastTime(3) <= 0 {
 		t.Fatal("radio time must be positive")
+	}
+}
+
+// TestFacadeETableRejectsCoincidentNodes: quadrants are undefined between
+// coincident nodes, so BuildETable must fail instead of panicking.
+func TestFacadeETableRejectsCoincidentNodes(t *testing.T) {
+	g := mlbs.NewUDG([]mlbs.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 0}}, 2)
+	if _, err := mlbs.BuildETable(mlbs.SyncInstance(g, 0)); err == nil {
+		t.Fatal("BuildETable accepted two coincident nodes")
 	}
 }
 
