@@ -9,11 +9,12 @@
 //	          [-reltrials 500] [-out BENCH_schedulers.json]
 //
 // The report is a JSON object with run metadata and one array per
-// section: records (one per (scheduler, system) pair), service (cold- vs
-// warm-cache plan throughput at n=150 and n=300), reliability, channels
-// (latency vs K), agg (convergecast latency vs K), models (latency vs
-// interference model), improve (anytime improver under move budgets) and
-// obs (tracing overhead). mlb-benchdiff gates it against the checked-in
+// section: records (one per (scheduler, system) pair), reliability,
+// channels (latency vs K), agg (convergecast latency vs K), models
+// (latency vs interference model), improve (anytime improver under move
+// budgets) and obs (tracing overhead over -svcreqs cold plans). Serving
+// throughput is measured end to end over HTTP by the bench/ workloads,
+// not here. mlb-benchdiff gates it against the checked-in
 // BENCH_baseline.json. Commit the numbers, not the file: BENCH_*.json is
 // gitignored by convention and meant for dashboards/CI artifacts.
 package main
@@ -42,20 +43,6 @@ type record struct {
 	BytesPerOp  int64  `json:"bytes_per_op"`
 	LatencyPA   int    `json:"latency_slots"`
 	Exact       bool   `json:"exact"`
-}
-
-// serviceRecord captures the serving layer's headline numbers for one
-// topology size: the cold path (every request runs the search, no_cache)
-// against the warm path (every request is a content-addressed cache hit).
-type serviceRecord struct {
-	Name            string  `json:"name"`
-	Nodes           int     `json:"nodes"`
-	Requests        int     `json:"requests"`
-	ColdPlansPerSec float64 `json:"cold_plans_per_sec"`
-	ColdP99Ns       int64   `json:"cold_p99_ns"`
-	WarmPlansPerSec float64 `json:"warm_plans_per_sec"`
-	WarmP99Ns       int64   `json:"warm_p99_ns"`
-	Speedup         float64 `json:"warm_over_cold_speedup"`
 }
 
 // reliabilityRecord captures the Monte-Carlo engine's throughput on one
@@ -159,7 +146,6 @@ type report struct {
 	Seed        uint64              `json:"seed"`
 	DutyRate    int                 `json:"duty_rate"`
 	Records     []record            `json:"records"`
-	Service     []serviceRecord     `json:"service"`
 	Reliability []reliabilityRecord `json:"reliability"`
 	Channels    []channelRecord     `json:"channels"`
 	Agg         []aggRecord         `json:"agg"`
@@ -181,7 +167,7 @@ func main() {
 	flag.Uint64Var(&b.seed, "seed", 1, "deployment seed")
 	flag.IntVar(&b.r, "r", 10, "duty-cycle rate for the async system")
 	flag.IntVar(&b.iters, "iters", 3, "fixed benchmark iterations per case")
-	flag.IntVar(&b.svcReqs, "svcreqs", 32, "requests per service throughput phase")
+	flag.IntVar(&b.svcReqs, "svcreqs", 32, "cold plan requests per tracing-overhead (obs) phase")
 	flag.IntVar(&b.relTr, "reltrials", 500, "Monte-Carlo trials per reliability case")
 	out := flag.String("out", "BENCH_schedulers.json", "output JSON path")
 	flag.Parse()
@@ -207,7 +193,6 @@ func main() {
 		run  func(*report) error
 	}{
 		{"records", b.schedulers},
-		{"service", b.service},
 		{"reliability", b.reliability},
 		{"channels", b.channels},
 		{"agg", b.aggregate},
@@ -284,19 +269,6 @@ func (b *bench) schedulers(rep *report) error {
 		})
 		fmt.Printf("%-20s %12d ns/op %8d allocs/op %6d latency\n",
 			c.name, nsOp, allocsOp, res.Schedule.Latency())
-	}
-	return nil
-}
-
-func (b *bench) service(rep *report) error {
-	for _, n := range []int{150, 300} {
-		sr, err := benchService(n, b.seed, b.svcReqs)
-		if err != nil {
-			return fmt.Errorf("n=%d: %w", n, err)
-		}
-		rep.Service = append(rep.Service, sr)
-		fmt.Printf("%-20s %12.1f cold plans/s %10.1f warm plans/s %6.1fx\n",
-			sr.Name, sr.ColdPlansPerSec, sr.WarmPlansPerSec, sr.Speedup)
 	}
 	return nil
 }
@@ -647,57 +619,6 @@ func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 		EnabledNs:   int64(median(enabled)),
 		OverheadPct: 100 * (median(ratios) - 1),
 		Spans:       spans,
-	}
-	return rec, nil
-}
-
-// benchService measures the plan service end to end on the n-node sync
-// paper topology: reqs no_cache requests (cold — every one searches)
-// followed by reqs cached requests (warm — every one hits), sequentially
-// so the two phases are directly comparable.
-func benchService(n int, seed uint64, reqs int) (serviceRecord, error) {
-	if reqs < 4 {
-		reqs = 4
-	}
-	svc := mlbs.NewService(mlbs.ServiceConfig{Workers: runtime.GOMAXPROCS(0)})
-	defer svc.Close()
-	ctx := context.Background()
-	send := func(noCache bool) (time.Duration, error) {
-		t0 := time.Now()
-		_, err := svc.Plan(ctx, mlbs.PlanRequest{
-			Generator: &mlbs.PlanGenerator{N: n, Seed: seed},
-			NoCache:   noCache,
-		})
-		return time.Since(t0), err
-	}
-	if _, err := send(true); err != nil { // materialize the deployment
-		return serviceRecord{}, err
-	}
-	phase := func(noCache bool) (perSec float64, p99 int64, err error) {
-		lat := make([]time.Duration, reqs)
-		start := time.Now()
-		for i := range lat {
-			if lat[i], err = send(noCache); err != nil {
-				return 0, 0, err
-			}
-		}
-		elapsed := time.Since(start)
-		slices.Sort(lat)
-		return float64(reqs) / elapsed.Seconds(), lat[reqs*99/100].Nanoseconds(), nil
-	}
-	rec := serviceRecord{Name: fmt.Sprintf("service/sync-n%d", n), Nodes: n, Requests: reqs}
-	var err error
-	if rec.ColdPlansPerSec, rec.ColdP99Ns, err = phase(true); err != nil {
-		return rec, err
-	}
-	if _, err := send(false); err != nil { // prime the cache
-		return rec, err
-	}
-	if rec.WarmPlansPerSec, rec.WarmP99Ns, err = phase(false); err != nil {
-		return rec, err
-	}
-	if rec.ColdPlansPerSec > 0 {
-		rec.Speedup = rec.WarmPlansPerSec / rec.ColdPlansPerSec
 	}
 	return rec, nil
 }

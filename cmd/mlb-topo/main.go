@@ -3,12 +3,16 @@
 //
 // Usage:
 //
-//	mlb-topo [-n 150] [-seed 1] [-r 0] [-etable]
+//	mlb-topo [-n 150] [-seed 1] [-r 0] [-etable] [-json out.json] [-load dep.json]
+//
+// With -load the deployment is read from JSON and -n is ignored: the wake
+// schedule is sized by the loaded graph.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mlbs"
@@ -24,13 +28,16 @@ func main() {
 		in     = flag.String("load", "", "load a deployment from JSON instead of generating")
 	)
 	flag.Parse()
-	if err := run(*n, *seed, *r, *etable, *out, *in); err != nil {
+	if err := run(os.Stdout, *n, *seed, *r, *etable, *out, *in); err != nil {
 		fmt.Fprintln(os.Stderr, "mlb-topo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n int, seed uint64, r int, printE bool, jsonOut, jsonIn string) error {
+// run writes the report to w. The generator's statistics (eccentricity
+// check, placement and source draws) describe how a deployment was drawn,
+// so they are printed for generated deployments only.
+func run(w io.Writer, n int, seed uint64, r int, printE bool, jsonOut, jsonIn string) error {
 	var (
 		dep *mlbs.Deployment
 		err error
@@ -55,18 +62,23 @@ func run(n int, seed uint64, r int, printE bool, jsonOut, jsonIn string) error {
 		if werr := os.WriteFile(jsonOut, data, 0o644); werr != nil {
 			return werr
 		}
-		fmt.Println("deployment written to", jsonOut)
+		fmt.Fprintln(w, "deployment written to", jsonOut)
 	}
 	g := dep.G
-	fmt.Printf("deployment: n=%d area=%.0f×%.0f ft radius=%.0f ft density=%.3f\n",
+	fmt.Fprintf(w, "deployment: n=%d area=%.0f×%.0f ft radius=%.0f ft density=%.3f\n",
 		g.N(), dep.Cfg.AreaSide, dep.Cfg.AreaSide, dep.Cfg.Radius, dep.Cfg.Density())
-	fmt.Printf("edges=%d avg degree=%.2f max degree=%d\n", g.M(), g.AvgDegree(), g.MaxDegree())
-	fmt.Printf("source=%d eccentricity=%d (paper requires 5..8)\n", dep.Source, dep.SourceEcc)
-	fmt.Printf("placements drawn=%d source draws=%d\n", dep.Attempts, dep.SourceDraws)
+	fmt.Fprintf(w, "edges=%d avg degree=%.2f max degree=%d\n", g.M(), g.AvgDegree(), g.MaxDegree())
+	fmt.Fprintf(w, "source=%d eccentricity=%d", dep.Source, dep.SourceEcc)
+	if jsonIn != "" {
+		fmt.Fprintln(w)
+	} else {
+		fmt.Fprintln(w, " (paper requires 5..8)")
+		fmt.Fprintf(w, "placements drawn=%d source draws=%d\n", dep.Attempts, dep.SourceDraws)
+	}
 
 	var in mlbs.Instance
 	if r > 1 {
-		in = mlbs.AsyncInstance(g, dep.Source, mlbs.UniformWake(n, r, seed^0xA5), 0)
+		in = mlbs.AsyncInstance(g, dep.Source, mlbs.UniformWake(g.N(), r, seed^0xA5), 0)
 	} else {
 		in = mlbs.SyncInstance(g, dep.Source)
 	}
@@ -80,10 +92,10 @@ func run(n int, seed uint64, r int, printE bool, jsonOut, jsonIn string) error {
 			edgeCount++
 		}
 	}
-	fmt.Printf("network-edge nodes: %d of %d; max E value: %.2f\n", edgeCount, g.N(), tab.MaxFinite())
+	fmt.Fprintf(w, "network-edge nodes: %d of %d; max E value: %.2f\n", edgeCount, g.N(), tab.MaxFinite())
 	if printE {
 		for u := 0; u < g.N(); u++ {
-			fmt.Printf("  node %3d at %v  E=[%.1f %.1f %.1f %.1f]\n",
+			fmt.Fprintf(w, "  node %3d at %v  E=[%.1f %.1f %.1f %.1f]\n",
 				u, g.Pos(u), tab.E[u][0], tab.E[u][1], tab.E[u][2], tab.E[u][3])
 		}
 	}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"slices"
 
-	"mlbs/internal/bitset"
 	"mlbs/internal/core"
 	"mlbs/internal/graph"
-	"mlbs/internal/interference"
 )
 
 // Strategy names how a repaired plan was obtained.
@@ -65,21 +63,18 @@ type ReplanResult struct {
 	BaseAdvances int
 }
 
-// Replanner repairs cached schedules after topology deltas. Its coverage
-// bitsets and the underlying search engine's arenas are reused across
+// Replanner repairs cached schedules after topology deltas. Its slot
+// walker and the underlying search engine's arenas are reused across
 // calls; like a core.Engine it is NOT safe for concurrent use — the
 // serving layer gives each worker goroutine its own.
 type Replanner struct {
-	sched           core.Scheduler
-	minKeptFrac     float64
-	w, got          bitset.Set
-	slotCov, slotTx bitset.Set // multi-channel slot scratch (see classify)
+	sched       core.Scheduler
+	minKeptFrac float64
 
-	// Interference oracle of the mutated instance: prefix classification
-	// must reject advances under the same model the scheduler plans with,
-	// so a kept prefix stays legal under SINR too. Rebound per classify.
-	ib     interference.Binder
-	oracle interference.Oracle
+	// walk classifies the base schedule against the mutated instance, its
+	// interference oracle included, so a kept prefix stays legal under
+	// SINR too. After classify it holds the kept prefix's coverage.
+	walk core.SlotWalker
 }
 
 // NewReplanner builds a replanner; see ReplanConfig for defaults.
@@ -96,11 +91,12 @@ func NewReplanner(cfg ReplanConfig) *Replanner {
 // Replan applies the delta to the base instance and repairs basePlan for
 // the mutated topology:
 //
-//  1. Classify the blast radius: walk the base schedule in time order,
-//     remapping senders and re-deriving coverage against the mutated
-//     graph; the walk stops at the first advance any model constraint
-//     rejects (failed sender, sender renumbered out of its wake slots,
-//     new conflict at an uncovered node, nothing left to cover).
+//  1. Classify the blast radius: walk the base schedule in time order on
+//     a core.SlotWalker over the mutated instance, remapping senders and
+//     re-deriving coverage against the mutated graph; the walk stops at
+//     the first slot the walker rejects (failed sender, sender renumbered
+//     out of its wake slots, new conflict at an uncovered node) or where
+//     an advance has nothing left to cover.
 //  2. If the surviving prefix already covers every live node, it IS the
 //     repaired plan (StrategyPrefix).
 //  3. Otherwise run the engine over the stranded remainder only: the
@@ -129,7 +125,7 @@ func (rp *Replanner) Replan(base core.Instance, basePlan *core.Schedule, d Delta
 	}
 
 	n := mutated.G.N()
-	if rp.minKeptFrac >= 0 && rp.w.Len() == n {
+	if rp.minKeptFrac >= 0 && rp.walk.Covered().Len() == n {
 		sched := &core.Schedule{Source: mutated.Source, Start: mutated.Start, Advances: kept}
 		if err := sched.Validate(mutated); err == nil {
 			out.Strategy = StrategyPrefix
@@ -189,67 +185,41 @@ func (rp *Replanner) Replan(base core.Instance, basePlan *core.Schedule, d Delta
 
 // classify walks the base schedule against the mutated instance, returning
 // the longest valid prefix (with coverage re-derived per advance) and
-// leaving the prefix's coverage in rp.w. On a multi-channel base schedule
-// the walk proceeds slot by slot: a slot's advances (one per channel)
-// survive or fall together, so the kept prefix is always a whole number of
-// slots and its per-channel coverage attribution stays canonical.
+// leaving the prefix's coverage in rp.walk. The walk proceeds slot by
+// slot: a slot's advances (one per channel) survive or fall together, so
+// the kept prefix is always a whole number of slots and its per-channel
+// coverage attribution stays canonical.
 func (rp *Replanner) classify(mutated core.Instance, basePlan *core.Schedule, m Mapping) []core.Advance {
-	n := mutated.G.N()
-	k := mutated.K()
-	rp.oracle = mutated.Oracle(&rp.ib)
-	if rp.w.Capacity() < n {
-		rp.w = bitset.New(n)
-		rp.got = bitset.New(n)
-		rp.slotCov = bitset.New(n)
-		rp.slotTx = bitset.New(n)
-	} else {
-		rp.w.Clear()
-		rp.got.Clear()
-	}
-	rp.w.Add(mutated.Source)
-	for _, u := range mutated.PreCovered {
-		rp.w.Add(u)
-	}
-
+	rp.walk.Reset(mutated)
 	var kept []core.Advance
-	prev := mutated.Start - 1
-	advs := basePlan.Advances
-	for gi := 0; gi < len(advs) && rp.w.Len() < n; {
-		t := advs[gi].T
-		if t <= prev {
-			break
-		}
-		end := gi
-		for end < len(advs) && advs[end].T == t {
-			end++
-		}
-		group := advs[gi:end]
-		if len(group) > k {
-			break
-		}
-		slotAdvances, ok := rp.classifySlot(mutated, m, t, k, group)
+	for gi := 0; gi < len(basePlan.Advances) && rp.walk.Covered().Len() < mutated.G.N(); {
+		slot, ok := rp.classifySlot(mutated.K(), m, basePlan.Advances[gi:])
 		if !ok {
 			break
 		}
-		kept = append(kept, slotAdvances...)
-		rp.w.UnionWith(rp.slotCov)
-		prev = t
-		gi = end
+		kept = append(kept, slot...)
+		rp.walk.End()
+		gi += len(slot)
 	}
 	return kept
 }
 
-// classifySlot remaps and re-validates one slot's advance group against
-// the mutated instance and rp.w (the coverage before the slot). On
-// success it returns the rebuilt advances and leaves their joint coverage
-// in rp.slotCov; on any model violation it reports ok=false and the
-// prefix ends before this slot.
-func (rp *Replanner) classifySlot(mutated core.Instance, m Mapping, t, k int, group []core.Advance) ([]core.Advance, bool) {
-	rp.slotCov.Clear()
-	rp.slotTx.Clear()
-	out := make([]core.Advance, 0, len(group))
+// classifySlot remaps the advance group that opens advs (every advance at
+// advs[0].T) through m and fires it on the walker. On success it returns
+// the rebuilt advances, leaving the slot open for the caller to commit;
+// on any model violation, or an advance that covers nothing new on the
+// mutated graph, it reports ok=false and the prefix ends before this slot.
+func (rp *Replanner) classifySlot(k int, m Mapping, advs []core.Advance) ([]core.Advance, bool) {
+	t := advs[0].T
+	if rp.walk.Begin(t) != nil {
+		return nil, false
+	}
+	var out []core.Advance
 	prevCh := -1
-	for _, adv := range group {
+	for _, adv := range advs {
+		if adv.T != t {
+			break
+		}
 		if adv.Channel <= prevCh || adv.Channel >= k {
 			return nil, false
 		}
@@ -266,36 +236,22 @@ func (rp *Replanner) classifySlot(mutated core.Instance, m Mapping, t, k int, gr
 			senders = append(senders, v)
 		}
 		slices.Sort(senders)
-		for _, v := range senders {
-			if !rp.w.Has(v) || !mutated.Wake.Awake(v, t) || !mutated.G.Nbr(v).AnyDifference(rp.w) || rp.slotTx.Has(v) {
-				return nil, false
-			}
-			rp.slotTx.Add(v)
-		}
-		if !rp.oracle.ConflictFree(rp.w, senders) {
+		reach, err := rp.walk.Fire(senders)
+		if err != nil || reach.Empty() {
 			return nil, false
 		}
-		rp.got.Clear()
-		for _, v := range senders {
-			rp.got.UnionWith(mutated.G.Nbr(v))
-		}
-		rp.got.DifferenceWith(rp.w)
-		rp.got.DifferenceWith(rp.slotCov)
-		if rp.got.Empty() {
-			return nil, false // the advance covers nothing new on the mutated graph
-		}
-		covered := rp.got.AppendMembers(make([]graph.NodeID, 0, rp.got.Len()))
+		covered := reach.AppendMembers(make([]graph.NodeID, 0, reach.Len()))
 		out = append(out, core.Advance{T: t, Channel: adv.Channel, Senders: senders, Covered: covered})
-		rp.slotCov.UnionWith(rp.got)
 	}
 	return out, true
 }
 
-// preCoveredList snapshots rp.w minus the source as a fresh slice — the
-// pre-covered state of the residual search.
+// preCoveredList snapshots the walker's coverage minus the source as a
+// fresh slice — the pre-covered state of the residual search.
 func (rp *Replanner) preCoveredList(source graph.NodeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, rp.w.Len()-1)
-	rp.w.ForEach(func(v int) {
+	w := rp.walk.Covered()
+	out := make([]graph.NodeID, 0, w.Len()-1)
+	w.ForEach(func(v int) {
 		if v != source {
 			out = append(out, v)
 		}

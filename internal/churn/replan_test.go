@@ -244,3 +244,27 @@ func TestReplanResultDetachedFromBase(t *testing.T) {
 		t.Fatalf("repaired plan aliases the base schedule: %v", err)
 	}
 }
+
+// BenchmarkReplanPrefix times a repair that keeps the whole plan: a
+// microscopic jitter on a G-OPT plan (n=300, sync), so the cost is Apply,
+// the slot walk of classify and the prefix's Validate, with no search.
+func BenchmarkReplanPrefix(b *testing.B) {
+	in := paperSync(b, 300, 1)
+	res, err := core.NewGOPT(0).Schedule(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := Delta{Events: []Event{{Kind: PositionJitter, Node: (in.Source + 1) % in.G.N(), X: 1e-9, Y: 1e-9}}}
+	rp := NewReplanner(ReplanConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rr, err := rp.Replan(in, res.Schedule, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rr.Strategy != StrategyPrefix {
+			b.Fatalf("strategy %s, want prefix", rr.Strategy)
+		}
+	}
+}

@@ -172,44 +172,32 @@ func (s *Schedule) Latency() int { return s.End() - s.Start + 1 }
 
 // Validate replays the schedule against the instance and checks every
 // model constraint: advances strictly ordered by (slot, channel) and not
-// before t_s, at most K advances (channels 0..K−1, strictly ascending) per
-// slot, senders covered, awake, in possession of uncovered neighbors, and
-// transmitting on at most one channel per slot (one radio), same-channel
-// senders pairwise conflict-free (Eq. 1 constraint 3, made channel-aware),
-// the recorded coverage exactly N(senders) ∩ W̄ minus what lower channels
-// of the same slot already claimed, and full coverage at the end.
+// before t_s, each one a legal firing under the per-slot rules of
+// SlotWalker, channels strictly ascending within [0,K) per slot, the
+// recorded coverage exactly the walker's reach (N(senders) ∩ W̄ minus what
+// lower channels of the same slot already claimed) and never empty, and
+// full coverage at the end. The walker's rules are checked before an
+// advance's recorded Channel and Covered fields are read.
 func (s *Schedule) Validate(in Instance) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
 	n := in.G.N()
 	k := in.K()
-	var ib interference.Binder
-	oracle := in.Oracle(&ib)
-	w := in.initialCoverage()
-	got := bitset.New(n)
+	var wk SlotWalker
+	wk.Reset(in)
 	want := bitset.New(n)
-	slotCov := bitset.New(n) // coverage claimed by lower channels of the current slot
-	slotTx := bitset.New(n)  // nodes already transmitting in the current slot
-	prev := s.Start - 1
 	for ai := 0; ai < len(s.Advances); {
 		t := s.Advances[ai].T
-		if t <= prev {
-			return fmt.Errorf("advance %d at t=%d not after t=%d", ai, t, prev)
+		if err := wk.Begin(t); err != nil {
+			return fmt.Errorf("advance %d at %v", ai, err)
 		}
-		prev = t
-		end := ai
-		for end < len(s.Advances) && s.Advances[end].T == t {
-			end++
-		}
-		if end-ai > k {
-			return fmt.Errorf("slot %d carries %d advances, instance has %d channels", t, end-ai, k)
-		}
-		slotCov.Clear()
-		slotTx.Clear()
-		prevCh := -1
-		for ; ai < end; ai++ {
+		for prevCh := -1; ai < len(s.Advances) && s.Advances[ai].T == t; ai++ {
 			adv := s.Advances[ai]
+			reach, err := wk.Fire(adv.Senders)
+			if err != nil {
+				return fmt.Errorf("advance %d: %v", ai, err)
+			}
 			if adv.Channel <= prevCh {
 				return fmt.Errorf("advance %d: channel %d not above channel %d in slot %d", ai, adv.Channel, prevCh, t)
 			}
@@ -220,48 +208,152 @@ func (s *Schedule) Validate(in Instance) error {
 			if len(adv.Senders) == 0 {
 				return fmt.Errorf("advance %d has no senders", ai)
 			}
-			for _, u := range adv.Senders {
-				if !w.Has(u) {
-					return fmt.Errorf("advance %d: sender %d has not received the message", ai, u)
-				}
-				if !in.Wake.Awake(u, t) {
-					return fmt.Errorf("advance %d: sender %d asleep at slot %d", ai, u, t)
-				}
-				if !in.G.Nbr(u).AnyDifference(w) {
-					return fmt.Errorf("advance %d: sender %d has no uncovered neighbor", ai, u)
-				}
-				if slotTx.Has(u) {
-					return fmt.Errorf("advance %d: sender %d transmits on two channels in slot %d", ai, u, t)
-				}
-				slotTx.Add(u)
-			}
-			if !oracle.ConflictFree(w, adv.Senders) {
-				return fmt.Errorf("advance %d: senders conflict at an uncovered node", ai)
-			}
-			got.Clear()
-			for _, u := range adv.Senders {
-				got.UnionWith(in.G.Nbr(u))
-			}
-			got.DifferenceWith(w)
-			got.DifferenceWith(slotCov)
 			want.Clear()
 			for _, v := range adv.Covered {
 				want.Add(v)
 			}
-			if !got.Equal(want) {
-				return fmt.Errorf("advance %d: recorded coverage %v, relays reach %v", ai, want, got)
+			if !reach.Equal(want) {
+				return fmt.Errorf("advance %d: recorded coverage %v, relays reach %v", ai, want, reach)
 			}
-			if got.Empty() {
+			if reach.Empty() {
 				return fmt.Errorf("advance %d: covers no new node (lower channels of slot %d claim its whole reach)", ai, t)
 			}
-			slotCov.UnionWith(got)
 		}
-		w.UnionWith(slotCov)
+		wk.End()
 	}
-	if w.Len() != n {
-		return fmt.Errorf("broadcast incomplete: %d of %d nodes covered", w.Len(), n)
+	if c := wk.Covered().Len(); c != n {
+		return fmt.Errorf("broadcast incomplete: %d of %d nodes covered", c, n)
 	}
 	return nil
+}
+
+// SlotWalker applies the model's per-slot rules to a schedule one slot at
+// a time: the paper's Eq. 1 (a relay holds the message, is awake, has an
+// uncovered neighbor, and fires conflict-free with its slot-mates at
+// every uncovered node) plus the channel extension's one radio per node
+// per slot and at most K advances per slot. Schedule.Validate, the
+// anytime improver's candidate replay and churn's prefix classification
+// are policies over it, not copies of it; the sim replayer re-executes
+// schedules with its own code as the independent referee.
+//
+// A walk is Reset, then per slot Begin, any number of Fire calls, and End
+// to commit the slot's coverage; a slot given up without End commits
+// nothing. A warm walker allocates nothing, rejections included: the
+// error a call returns is owned by the walker and holds until its next
+// failing call. A SlotWalker is not safe for concurrent use.
+type SlotWalker struct {
+	in      Instance
+	ib      interference.Binder
+	oracle  interference.Oracle
+	w       bitset.Set // coverage committed by the slots walked so far
+	slotCov bitset.Set // coverage claimed by the current slot's advances
+	slotTx  bitset.Set // nodes already transmitting in the current slot
+	reach   bitset.Set // the latest Fire result
+	prev, t int        // last committed slot; current slot
+	fired   int        // advances fired in the current slot
+	k       int        // in.K(), the advances a slot may carry
+	err     slotError
+}
+
+// slotError names the rule a walk broke; it is formatted only when read.
+type slotError struct {
+	format string
+	args   [3]int
+	nargs  int
+}
+
+func (e *slotError) Error() string {
+	args := make([]any, e.nargs)
+	for i := range args {
+		args[i] = e.args[i]
+	}
+	return fmt.Sprintf(e.format, args...)
+}
+
+func (sw *SlotWalker) fail(format string, args ...int) error {
+	sw.err.format = format
+	sw.err.nargs = copy(sw.err.args[:], args)
+	return &sw.err
+}
+
+// Reset starts a walk of in: coverage {Source} ∪ PreCovered, the first
+// slot not before in.Start, and in's interference oracle.
+func (sw *SlotWalker) Reset(in Instance) {
+	n := in.G.N()
+	if len(sw.w) != bitset.WordsFor(n) {
+		sw.w, sw.slotCov, sw.slotTx, sw.reach = bitset.New(n), bitset.New(n), bitset.New(n), bitset.New(n)
+	}
+	sw.w.Clear()
+	sw.w.Add(in.Source)
+	for _, u := range in.PreCovered {
+		sw.w.Add(u)
+	}
+	sw.in, sw.k, sw.prev = in, in.K(), in.Start-1
+	sw.oracle = in.Oracle(&sw.ib)
+}
+
+// Covered returns the committed coverage W; callers must not modify it.
+func (sw *SlotWalker) Covered() bitset.Set { return sw.w }
+
+// Begin opens slot t, which must come after the last committed slot.
+func (sw *SlotWalker) Begin(t int) error {
+	if t <= sw.prev {
+		return sw.fail("t=%d not after t=%d", t, sw.prev)
+	}
+	sw.t, sw.fired = t, 0
+	sw.slotCov.Clear()
+	sw.slotTx.Clear()
+	return nil
+}
+
+// Useful reports whether u has a neighbor outside the committed coverage.
+func (sw *SlotWalker) Useful(u graph.NodeID) bool { return sw.in.G.Nbr(u).AnyDifference(sw.w) }
+
+// Fire fires senders as the open slot's next advance and returns its
+// reach, N(senders) \ W minus what the slot already claimed, which aliases
+// the walker until the next Fire. Every sender must hold the message and
+// be awake; an empty reach then fires nothing and comes back with a nil
+// error for the caller to judge. Otherwise the rest of SlotWalker's rules
+// apply and, on success, the reach is claimed for the slot.
+func (sw *SlotWalker) Fire(senders []graph.NodeID) (bitset.Set, error) {
+	sw.reach.Clear()
+	for _, u := range senders {
+		switch {
+		case !sw.w.Has(u):
+			return nil, sw.fail("sender %d has not received the message", u)
+		case !sw.in.Wake.Awake(u, sw.t):
+			return nil, sw.fail("sender %d asleep at slot %d", u, sw.t)
+		}
+		sw.reach.UnionWith(sw.in.G.Nbr(u))
+	}
+	sw.reach.DifferenceWith(sw.w)
+	sw.reach.DifferenceWith(sw.slotCov)
+	if sw.reach.Empty() {
+		return sw.reach, nil
+	}
+	if sw.fired++; sw.fired > sw.k {
+		return nil, sw.fail("slot %d carries %d advances, instance has %d channels", sw.t, sw.fired, sw.k)
+	}
+	for _, u := range senders {
+		switch {
+		case !sw.Useful(u):
+			return nil, sw.fail("sender %d has no uncovered neighbor", u)
+		case sw.slotTx.Has(u):
+			return nil, sw.fail("sender %d transmits on two channels in slot %d", u, sw.t)
+		}
+		sw.slotTx.Add(u)
+	}
+	if !sw.oracle.ConflictFree(sw.w, senders) {
+		return nil, sw.fail("senders conflict at an uncovered node")
+	}
+	sw.slotCov.UnionWith(sw.reach)
+	return sw.reach, nil
+}
+
+// End commits the open slot's claimed coverage.
+func (sw *SlotWalker) End() {
+	sw.w.UnionWith(sw.slotCov)
+	sw.prev = sw.t
 }
 
 // SearchStats reports the effort of a search-based scheduler.

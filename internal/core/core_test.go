@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -533,5 +534,25 @@ func TestEnergyAwareRequiresGeometry(t *testing.T) {
 	g := graph.NewBuilder(3, nil).AddEdge(0, 1).AddEdge(1, 2).Build()
 	if _, err := NewEnergyAware().Schedule(Sync(g, 0)); err == nil {
 		t.Fatal("degenerate geometry accepted")
+	}
+}
+
+// TestAbstractGraphIncumbent pins the incumbent fallback: the kite is
+// built without positions, so every node sits at the origin and the
+// E-model cannot run. A one-state search never improves on its seed, so
+// it returns the incumbent itself, which must be the max-coverage
+// rollout.
+func TestAbstractGraphIncumbent(t *testing.T) {
+	in := Sync(kite(), 0)
+	want, err := NewPolicy("max-coverage", MaxCoverageRule{}).Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewSearch("one-state", SearchConfig{Moves: GreedyMoves, Budget: 1}).Schedule(in)
+	if err != nil {
+		t.Fatalf("search on a position-free graph: %v", err)
+	}
+	if !reflect.DeepEqual(res.Schedule.Advances, want.Schedule.Advances) {
+		t.Fatalf("incumbent %v, want the max-coverage rollout %v", res.Schedule.Advances, want.Schedule.Advances)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"mlbs/internal/bitset"
 	"mlbs/internal/color"
+	"mlbs/internal/emodel"
 	"mlbs/internal/graph"
 	"mlbs/internal/interference"
 )
@@ -42,7 +43,9 @@ type SearchConfig struct {
 	// 0 selects color.DefaultMaxBundles.
 	MaxBundles int
 	// Incumbent seeds the upper bound; nil uses the E-model policy, which
-	// is both the paper's practical scheme and a strong initial incumbent.
+	// is both the paper's practical scheme and a strong initial incumbent
+	// (G-OPT under MaximalMoves; the max-coverage policy on graphs whose
+	// positions coincide, where the E-model is undefined).
 	Incumbent Scheduler
 	// DepthProfile collects per-depth expansion/memo/prune counters into
 	// SearchStats.Depths. Off by default: profiled runs pay one branch and
@@ -246,22 +249,22 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 		cfg.MaxBundles = color.DefaultMaxBundles
 	}
 	incumbent := cfg.Incumbent
-	if incumbent == nil {
-		switch {
-		case cfg.Moves == MaximalMoves:
-			// OPT's strongest cheap incumbent is G-OPT itself (greedy
-			// classes are maximal sets, so its value is feasible for OPT);
-			// with it the search usually only has to prove a fail-high.
-			incumbent = NewGOPT(cfg.Budget)
-		case in.G.DistinctPositions():
-			incumbent = NewEModel()
-		default:
-			// Abstract graphs without geometry cannot host the E-model;
-			// the utilization-greedy policy is the next-best rollout.
-			incumbent = NewPolicy("max-coverage", MaxCoverageRule{})
-		}
+	switch {
+	case incumbent != nil:
+	case cfg.Moves == MaximalMoves:
+		// OPT's strongest cheap incumbent is G-OPT itself (greedy classes
+		// are maximal sets, so its value is feasible for OPT); with it the
+		// search usually only has to prove a fail-high.
+		incumbent = NewGOPT(cfg.Budget)
+	default:
+		incumbent = NewEModel()
 	}
 	seed, err := incumbent.Schedule(in)
+	if cfg.Incumbent == nil && errors.Is(err, emodel.ErrCoincidentPositions) {
+		// Abstract graphs without geometry cannot host the E-model; the
+		// utilization-greedy policy is the next-best rollout.
+		seed, err = NewPolicy("max-coverage", MaxCoverageRule{}).Schedule(in)
+	}
 	if err != nil {
 		return nil, reuse, fmt.Errorf("core: incumbent rollout failed: %w", err)
 	}

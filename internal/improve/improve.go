@@ -17,10 +17,11 @@
 //     classes free their channel for the newcomers).
 //   - shift: retime the final slot group to the earliest slot at which
 //     all its senders are awake, compressing duty-cycle wake waits.
-//   - sender thinning: every candidate replay drops senders whose whole
-//     reach is already covered, so redundant transmissions dissolve as a
-//     side effect of any accepted move (and of the initial normalization
-//     pass).
+//   - sender thinning: every candidate replay — a lenient policy over
+//     core.SlotWalker, the per-slot rules Schedule.Validate also walks —
+//     drops senders whose whole reach is already covered, so redundant
+//     transmissions dissolve as a side effect of any accepted move (and
+//     of the initial normalization pass).
 //
 // The improver is anytime and monotone: its current schedule is always
 // valid — every accepted move is re-verified with Schedule.Validate — and
@@ -41,7 +42,6 @@ import (
 	"mlbs/internal/bitset"
 	"mlbs/internal/core"
 	"mlbs/internal/graph"
-	"mlbs/internal/interference"
 )
 
 // DefaultSearchBudget is the branch-and-bound state budget of a single
@@ -115,11 +115,9 @@ type Improver struct {
 	pool *bitset.Pool
 	clk  clock // sysClock in production; tests inject a stepped fake
 
-	n       int
-	w       bitset.Set // replay coverage
-	reach   bitset.Set // per-advance new coverage
-	slotCov bitset.Set // coverage claimed by lower channels of the slot
-	slotTx  bitset.Set // nodes already transmitting in the slot
+	// walk replays candidates under the instance's own interference
+	// oracle: merges and re-packs legal under the graph model may not be.
+	walk core.SlotWalker
 
 	keep    []graph.NodeID // kept senders of the advance under replay
 	candAdv []core.Advance // move candidate under construction
@@ -127,13 +125,6 @@ type Improver struct {
 	pre     []graph.NodeID // residual PreCovered buffer for tail moves
 	cuts    []int          // tail cut list buffer
 	groups  []int          // start index of each slot group in cur
-
-	// Interference oracle of the instance under improvement: slot merges
-	// and re-packs legal under the graph model may be SINR-illegal, so
-	// every candidate replay consults the bound oracle, not the protocol
-	// predicate. Rebound at the top of each Improve call.
-	ib     interference.Binder
-	oracle interference.Oracle
 }
 
 // New returns an empty improver; arenas grow on first use and stay warm.
@@ -211,18 +202,6 @@ func (b *budgetState) spend() bool {
 	return true
 }
 
-// ensure sizes the replay bitsets for n nodes.
-func (imp *Improver) ensure(n int) {
-	if imp.n == n && imp.w != nil {
-		return
-	}
-	imp.n = n
-	imp.w = bitset.New(n)
-	imp.reach = bitset.New(n)
-	imp.slotCov = bitset.New(n)
-	imp.slotTx = bitset.New(n)
-}
-
 // state is the current best schedule of one run plus its objective.
 // Advances and their inner slices are write-once: accepted moves replace
 // the outer slice with freshly materialized advances, never mutate, so
@@ -285,8 +264,6 @@ func (imp *Improver) Improve(in core.Instance, sched *core.Schedule, opt Options
 		st.Exact, st.Converged = true, true
 		return &core.Schedule{Source: in.Source, Start: in.Start}, st, nil
 	}
-	imp.ensure(in.G.N())
-	imp.oracle = in.Oracle(&imp.ib)
 	s := &state{cur: sched.Advances, end: sched.End(), senders: countSenders(sched.Advances)}
 	imp.regroup(s.cur)
 
@@ -407,17 +384,18 @@ func (imp *Improver) tryTail(in core.Instance, s *state, cut, searchBudget int, 
 	prefix := s.cur[:a]
 	resid := in
 	if cut > 0 {
-		imp.w.Clear()
-		imp.w.Add(in.Source)
+		w := imp.pool.Get(in.G.N())
+		w.Add(in.Source)
 		for _, u := range in.PreCovered {
-			imp.w.Add(u)
+			w.Add(u)
 		}
 		for _, adv := range prefix {
 			for _, v := range adv.Covered {
-				imp.w.Add(v)
+				w.Add(v)
 			}
 		}
-		imp.pre = imp.w.AppendMembers(imp.pre[:0])
+		imp.pre = w.AppendMembers(imp.pre[:0])
+		imp.pool.Put(w)
 		resid.Start = prefix[len(prefix)-1].T + 1
 		resid.PreCovered = imp.pre
 	}
@@ -599,90 +577,57 @@ func (imp *Improver) adopt(in core.Instance, s *state, advs []core.Advance, end 
 	}
 }
 
-// replay validates cand against in — the same constraints
-// Schedule.Validate enforces — while thinning it: senders with no
-// uncovered neighbor are dropped, advances whose whole reach is already
-// claimed dissolve (freeing their channel), and surviving advances are
-// renumbered onto channels 0, 1, … in order. A sleeping, uncovered,
-// twice-transmitting or conflicting sender rejects the candidate. When
-// out is non-nil the normalized advances are materialized into it with
-// freshly allocated sender/coverage slices; otherwise replay only counts,
-// allocation-free. Input Channel and Covered fields are ignored — both
-// are re-derived.
+// replay runs cand through the slot walker while thinning it: a listed
+// sender that has not received the message or is asleep rejects the
+// candidate, senders with nothing left to cover are then dropped (they no
+// longer transmit), an advance whose reach is empty dissolves (freeing
+// its channel), and surviving advances are renumbered onto channels 0,
+// 1, … in order. Any advance the walker rejects rejects the candidate.
+// When out is non-nil the normalized advances are materialized into it
+// with freshly allocated sender/coverage slices; otherwise replay only
+// counts, allocation-free. Input Channel and Covered fields are ignored —
+// both are re-derived.
 func (imp *Improver) replay(in core.Instance, cand []core.Advance, out *[]core.Advance) (advCount, senderCount, end int, ok bool) {
-	n := in.G.N()
-	k := in.K()
-	imp.w.Clear()
-	imp.w.Add(in.Source)
-	for _, u := range in.PreCovered {
-		imp.w.Add(u)
-	}
+	wk := &imp.walk
+	wk.Reset(in)
 	end = in.Start - 1
-	prevSlot := in.Start - 1
-	i := 0
-	for i < len(cand) {
+	for i := 0; i < len(cand); {
 		t := cand[i].T
-		if t <= prevSlot {
+		if wk.Begin(t) != nil {
 			return 0, 0, 0, false
 		}
-		prevSlot = t
-		j := i
-		for j < len(cand) && cand[j].T == t {
-			j++
-		}
-		imp.slotCov.Clear()
-		imp.slotTx.Clear()
-		kept := 0
-		for ; i < j; i++ {
+		for ch := 0; i < len(cand) && cand[i].T == t; i++ {
 			keep := imp.keep[:0]
 			for _, u := range cand[i].Senders {
-				if !imp.w.Has(u) || !in.Wake.Awake(u, t) {
+				if wk.Useful(u) {
+					keep = append(keep, u) // Fire checks it holds the message and is awake
+				} else if !wk.Covered().Has(u) || !in.Wake.Awake(u, t) {
 					imp.keep = keep
 					return 0, 0, 0, false
 				}
-				if in.G.Nbr(u).AnyDifference(imp.w) {
-					keep = append(keep, u)
-				}
 			}
 			imp.keep = keep
-			if len(keep) == 0 {
-				continue // advance dissolved: every sender was redundant
-			}
-			imp.reach.Clear()
-			for _, u := range keep {
-				imp.reach.UnionWith(in.G.Nbr(u))
-			}
-			imp.reach.DifferenceWith(imp.w)
-			imp.reach.DifferenceWith(imp.slotCov)
-			if imp.reach.Empty() {
-				continue // whole reach claimed by lower channels: dissolve
-			}
-			for _, u := range keep {
-				if imp.slotTx.Has(u) {
-					return 0, 0, 0, false // one radio per node per slot
-				}
-				imp.slotTx.Add(u)
-			}
-			if !imp.oracle.ConflictFree(imp.w, keep) {
+			reach, err := wk.Fire(keep)
+			if err != nil {
 				return 0, 0, 0, false
 			}
-			if kept++; kept > k {
-				return 0, 0, 0, false
+			if reach.Empty() {
+				continue // dissolved: nothing left to reach
 			}
 			if out != nil {
 				*out = append(*out, core.Advance{
 					T:       t,
-					Channel: kept - 1,
+					Channel: ch,
 					Senders: append([]graph.NodeID(nil), keep...),
-					Covered: imp.reach.Members(),
+					Covered: reach.Members(),
 				})
 			}
+			ch++
 			advCount++
 			senderCount += len(keep)
 			end = t
-			imp.slotCov.UnionWith(imp.reach)
 		}
-		imp.w.UnionWith(imp.slotCov)
+		wk.End()
 	}
-	return advCount, senderCount, end, imp.w.Len() == n
+	return advCount, senderCount, end, wk.Covered().Len() == in.G.N()
 }

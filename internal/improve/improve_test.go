@@ -9,6 +9,7 @@ import (
 	"mlbs/internal/core"
 	"mlbs/internal/dutycycle"
 	"mlbs/internal/graph"
+	"mlbs/internal/sim"
 	"mlbs/internal/topology"
 )
 
@@ -31,6 +32,21 @@ func instance(t testing.TB, n int, seed uint64, r, k int) core.Instance {
 		in.Channels = k
 	}
 	return in
+}
+
+// replayClean re-executes s through the sim referee. Schedule.Validate
+// and the improver's candidate replay share core's slot walker, so the
+// physics replay, which shares none of it, is the independent check that
+// an improved schedule delivers: it must complete without a collision.
+func replayClean(t testing.TB, in core.Instance, s *core.Schedule) {
+	t.Helper()
+	rep, err := sim.Replay(in, s)
+	if err != nil {
+		t.Fatalf("sim replay: %v", err)
+	}
+	if !rep.Completed || len(rep.Collisions) != 0 {
+		t.Fatalf("sim replay: completed=%v with %d collisions", rep.Completed, len(rep.Collisions))
+	}
 }
 
 func approximation(t testing.TB, in core.Instance) *core.Schedule {
@@ -93,6 +109,7 @@ func TestImproveProperties(t *testing.T) {
 			if err := out.Validate(in); err != nil {
 				t.Fatalf("n=%d r=%d k=%d seed=%d: output invalid: %v", tc.n, tc.r, tc.k, seed, err)
 			}
+			replayClean(t, in, out)
 			if out.End() > base.End() {
 				t.Fatalf("n=%d r=%d k=%d seed=%d: end worsened %d → %d", tc.n, tc.r, tc.k, seed, base.End(), out.End())
 			}
@@ -280,5 +297,63 @@ func TestMaxMovesRunNeverReadsClock(t *testing.T) {
 	}
 	if err := out.Validate(in); err != nil {
 		t.Fatalf("schedule invalid: %v", err)
+	}
+}
+
+// TestCandidateEvaluationAllocFree pins the Improver's claim that warm
+// candidate evaluation allocates nothing, for a candidate the slot walker
+// accepts and for one it rejects (every advance pulled into the first
+// slot, where later senders do not hold the message yet).
+func TestCandidateEvaluationAllocFree(t *testing.T) {
+	in := instance(t, 150, 1, 10, 4)
+	base := approximation(t, in)
+	rejected := append([]core.Advance(nil), base.Advances...)
+	for i := range rejected {
+		rejected[i].T = base.Advances[0].T
+	}
+	imp := New()
+	for _, tc := range []struct {
+		name string
+		cand []core.Advance
+		ok   bool
+	}{{"accepted", base.Advances, true}, {"rejected", rejected, false}} {
+		if _, _, _, ok := imp.replay(in, tc.cand, nil); ok != tc.ok { // warm-up
+			t.Fatalf("%s candidate: replay ok=%v", tc.name, ok)
+		}
+		allocs := testing.AllocsPerRun(20, func() { imp.replay(in, tc.cand, nil) })
+		if allocs != 0 {
+			t.Errorf("%s candidate: warm evaluation allocated %.1f objects, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkImprove times a 64-move run over the duty-cycle 17-approximation
+// (n=150, r=10), the shape of mlb-bench's improve records.
+func BenchmarkImprove(b *testing.B) {
+	in := instance(b, 150, 1, 10, 1)
+	base := approximation(b, in)
+	imp := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := imp.Improve(in, base, Options{MaxMoves: 64}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCandidateReplay times one warm candidate evaluation: the whole
+// 17-approximation (n=150, r=10, K=4) through the improver's replay.
+func BenchmarkCandidateReplay(b *testing.B) {
+	in := instance(b, 150, 1, 10, 4)
+	base := approximation(b, in)
+	imp := New()
+	imp.replay(in, base.Advances, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, ok := imp.replay(in, base.Advances, nil); !ok {
+			b.Fatal("approximation rejected")
+		}
 	}
 }

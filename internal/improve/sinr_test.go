@@ -53,6 +53,7 @@ func TestImproveMergeRespectsSINR(t *testing.T) {
 	if err := out.Validate(in); err != nil {
 		t.Fatalf("graph-improved schedule invalid: %v", err)
 	}
+	replayClean(t, in, out)
 
 	in, sched = sinrChain()
 	in.SINR = &interference.SINRParams{Alpha: 2, Beta: 2}
@@ -66,6 +67,7 @@ func TestImproveMergeRespectsSINR(t *testing.T) {
 	if err := out.Validate(in); err != nil {
 		t.Fatalf("SINR-improved schedule invalid: %v", err)
 	}
+	replayClean(t, in, out)
 	if out.End() != 3 {
 		t.Fatalf("SINR model: improver produced end=%d, want 3 (merging the relays is SINR-illegal)", out.End())
 	}

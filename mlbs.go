@@ -319,9 +319,15 @@ func Baseline17() Scheduler { return baseline.New17() }
 
 // BuildETable constructs the E₁..E₄ quadrant estimates for an instance —
 // hop counts in the synchronous system, mean cycle waiting times in the
-// duty-cycle system (Algorithm 2, Eq. 9/11). It fails when two nodes share
-// a position, where quadrants are undefined.
-func BuildETable(in Instance) (*ETable, error) { return emodel.New(in.G, in.Wake) }
+// duty-cycle system (Algorithm 2, Eq. 9/11). It fails on an instance that
+// does not validate and when two nodes share a position, where quadrants
+// are undefined.
+func BuildETable(in Instance) (*ETable, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	return emodel.New(in.G, in.Wake)
+}
 
 // EdgeNodes flags the network-edge nodes of g: convex-hull members and
 // nodes with an angular gap of at least π/2 among their neighbors.

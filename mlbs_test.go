@@ -97,6 +97,16 @@ func TestFacadeETableRejectsCoincidentNodes(t *testing.T) {
 	}
 }
 
+// TestFacadeETableRejectsShortWake: a duty-cycle wake schedule sized for
+// fewer nodes than the graph must fail validation instead of indexing past
+// the wake offsets while the CWT weights are built.
+func TestFacadeETableRejectsShortWake(t *testing.T) {
+	g := mlbs.NewUDG([]mlbs.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 3, Y: 0}, {X: 4, Y: 0}}, 1.5)
+	if _, err := mlbs.BuildETable(mlbs.AsyncInstance(g, 0, mlbs.UniformWake(3, 4, 1), 0)); err == nil {
+		t.Fatal("BuildETable accepted a 3-node wake schedule on a 5-node graph")
+	}
+}
+
 func TestFacadeTrace(t *testing.T) {
 	g, src := mlbs.Figure2()
 	rows, err := mlbs.TraceGOPT(mlbs.SyncInstance(g, src), 0)
