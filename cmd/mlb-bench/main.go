@@ -33,6 +33,10 @@ import (
 	"mlbs"
 )
 
+// record is one (scheduler, system) pair. Expanded and MemoHits are the
+// search effort from Result.Stats (0 for the policies): deterministic for
+// a fixed (n, seed, r), so a change that claims to leave the search
+// untouched must reproduce them exactly.
 type record struct {
 	Name        string `json:"name"`
 	System      string `json:"system"`
@@ -43,6 +47,8 @@ type record struct {
 	BytesPerOp  int64  `json:"bytes_per_op"`
 	LatencyPA   int    `json:"latency_slots"`
 	Exact       bool   `json:"exact"`
+	Expanded    int    `json:"expanded"`
+	MemoHits    int    `json:"memo_hits"`
 }
 
 // reliabilityRecord captures the Monte-Carlo engine's throughput on one
@@ -266,6 +272,8 @@ func (b *bench) schedulers(rep *report) error {
 			BytesPerOp:  bytesOp,
 			LatencyPA:   res.Schedule.Latency(),
 			Exact:       res.Exact,
+			Expanded:    res.Stats.Expanded,
+			MemoHits:    res.Stats.MemoHits,
 		})
 		fmt.Printf("%-20s %12d ns/op %8d allocs/op %6d latency\n",
 			c.name, nsOp, allocsOp, res.Schedule.Latency())

@@ -22,8 +22,8 @@ func set(r report, section string, i int, metric string, v float64) {
 
 const baselineJSON = `{
   "records": [
-    {"name": "sync/g-opt", "latency_slots": 8, "allocs_per_op": 700},
-    {"name": "duty-r10/g-opt", "latency_slots": 60, "allocs_per_op": 9000}
+    {"name": "sync/g-opt", "latency_slots": 8, "allocs_per_op": 700, "expanded": 10, "memo_hits": 0},
+    {"name": "duty-r10/g-opt", "latency_slots": 60, "allocs_per_op": 9000, "expanded": 300, "memo_hits": 60}
   ],
   "reliability": [
     {"name": "reliability/sync-n150", "allocs_per_replay": 0.1}
@@ -84,10 +84,27 @@ func TestCompareAllocRegressionFails(t *testing.T) {
 }
 
 func TestCompareAllocSlackAbsorbsSmallCounts(t *testing.T) {
-	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":3}]}`)
-	cur := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":150}]}`)
+	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":3,"expanded":0,"memo_hits":0}]}`)
+	cur := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":150,"expanded":0,"memo_hits":0}]}`)
 	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("slack did not absorb a tiny absolute jump: %v", fails)
+	}
+}
+
+func TestCompareSearchEffortDriftFails(t *testing.T) {
+	b := parse(t, baselineJSON)
+	// Search effort is pinned exactly: fewer expansions are a changed
+	// search just as more are.
+	for _, c := range []struct {
+		metric string
+		v      float64
+	}{{"expanded", 299}, {"expanded", 301}, {"memo_hits", 59}, {"memo_hits", 61}} {
+		cur := parse(t, baselineJSON)
+		set(cur, "records", 1, c.metric, c.v)
+		fails := compare(b, cur)
+		if len(fails) != 1 || fails[0].record != "duty-r10/g-opt" || fails[0].metric != c.metric {
+			t.Fatalf("%s=%g: fails = %v", c.metric, c.v, fails)
+		}
 	}
 }
 
@@ -151,9 +168,9 @@ func TestCompareReliabilityAllocFails(t *testing.T) {
 }
 
 func TestCompareExtraCurrentRecordsIgnored(t *testing.T) {
-	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":10}]}`)
+	b := parse(t, `{"records":[{"name":"x","latency_slots":5,"allocs_per_op":10,"expanded":0,"memo_hits":0}]}`)
 	cur := parse(t, baselineJSON)
-	cur["records"] = append(cur["records"], map[string]any{"name": "x", "latency_slots": 5.0, "allocs_per_op": 10.0})
+	cur["records"] = append(cur["records"], map[string]any{"name": "x", "latency_slots": 5.0, "allocs_per_op": 10.0, "expanded": 0.0, "memo_hits": 0.0})
 	if fails := compare(b, cur); len(fails) != 0 {
 		t.Fatalf("extra records should not fail the gate: %v", fails)
 	}

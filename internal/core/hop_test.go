@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mlbs/internal/bitset"
+	"mlbs/internal/color"
+	"mlbs/internal/dutycycle"
 	"mlbs/internal/geom"
 	"mlbs/internal/graph"
 	"mlbs/internal/rng"
@@ -131,6 +134,83 @@ func TestMaxHopMatchesBFS(t *testing.T) {
 			}
 			covers("disconnected", g, 0)
 		}
+	}
+}
+
+// TestFiniteHopMeansSlotNow pins the fact dfs's round-based order rests
+// on: with a wake period of 1, a finite hop bound on a non-full coverage
+// set means the next useful slot is t itself and its candidates are all
+// of Candidates(w), so the candidate scan can wait until after the bound,
+// the memo probe and the budget check. It covers paper deployments and
+// random trees (connected, so every non-full coverage has a finite
+// bound), random coverage sets, several start slots and every period-1
+// schedule kind.
+func TestFiniteHopMeansSlotNow(t *testing.T) {
+	r := rng.New(29)
+	var (
+		e  *engine
+		sc color.Scratch
+	)
+	checked := 0
+	check := func(name string, g *graph.Graph, src int) {
+		t.Helper()
+		n := g.N()
+		zeros := make([]int, n)
+		lists := make([][]int, n)
+		for u := range lists {
+			lists[u] = []int{0}
+		}
+		wakes := []dutycycle.Schedule{
+			dutycycle.AlwaysAwake{Nodes: n},
+			dutycycle.NewFixed(1, 1, lists),
+			dutycycle.NewUniform(n, 1, r.Uint64(), 1),
+			dutycycle.NewPeriodicPhase(1, zeros),
+		}
+		in := Sync(g, src)
+		if e == nil {
+			e = newEngine(in, SearchConfig{})
+		} else {
+			e.reset(in, SearchConfig{})
+		}
+		for _, p := range []float64{0, 0.05, 0.3, 0.6, 0.95} {
+			for i := 0; i < 3; i++ {
+				w := randomCover(n, src, p, r)
+				if w.Len() == n {
+					continue
+				}
+				hop := e.maxHop(w)
+				if hop < 1 || hop >= inf {
+					t.Fatalf("%s n=%d |w|=%d: connected graph, non-full coverage, maxHop=%d", name, n, w.Len(), hop)
+				}
+				want := color.Candidates(g, w)
+				for _, wake := range wakes {
+					if wake.Period() != 1 {
+						t.Fatalf("%T: period %d, want 1", wake, wake.Period())
+					}
+					for _, t0 := range []int{0, 1, 7, 1000} {
+						slot, cands, ok := nextUsefulSlot(g, wake, w, t0, &sc)
+						if !ok || slot != t0 || !slices.Equal(cands, want) {
+							t.Fatalf("%s n=%d %T t=%d: nextUsefulSlot = (%d, %v, %v), want (%d, %v, true)",
+								name, n, wake, t0, slot, cands, ok, t0, want)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{63, 100, 150, 300} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			dep, err := topology.Generate(topology.PaperConfig(n), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("paper", dep.G, dep.Source)
+		}
+		check("tree", randomTree(n, r), r.Intn(n))
+	}
+	if checked == 0 {
+		t.Fatal("no state checked")
 	}
 }
 

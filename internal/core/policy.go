@@ -184,6 +184,12 @@ func (p *Policy) Schedule(in Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	return p.rollout(in)
+}
+
+// rollout is Schedule on an instance the caller has already validated:
+// the search's own default incumbent skips the second connectivity check.
+func (p *Policy) rollout(in Instance) (*Result, error) {
 	rule, err := p.NewRule(in)
 	if err != nil {
 		return nil, err

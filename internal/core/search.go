@@ -248,22 +248,24 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = color.DefaultMaxBundles
 	}
-	incumbent := cfg.Incumbent
+	var seed *Result
+	var err error
 	switch {
-	case incumbent != nil:
+	case cfg.Incumbent != nil:
+		seed, err = cfg.Incumbent.Schedule(in)
 	case cfg.Moves == MaximalMoves:
 		// OPT's strongest cheap incumbent is G-OPT itself (greedy classes
 		// are maximal sets, so its value is feasible for OPT); with it the
 		// search usually only has to prove a fail-high.
-		incumbent = NewGOPT(cfg.Budget)
+		seed, err = NewGOPT(cfg.Budget).Schedule(in)
 	default:
-		incumbent = NewEModel()
-	}
-	seed, err := incumbent.Schedule(in)
-	if cfg.Incumbent == nil && errors.Is(err, emodel.ErrCoincidentPositions) {
-		// Abstract graphs without geometry cannot host the E-model; the
-		// utilization-greedy policy is the next-best rollout.
-		seed, err = NewPolicy("max-coverage", MaxCoverageRule{}).Schedule(in)
+		// The policies below roll out on the instance validated above.
+		seed, err = NewEModel().rollout(in)
+		if errors.Is(err, emodel.ErrCoincidentPositions) {
+			// Abstract graphs without geometry cannot host the E-model;
+			// the utilization-greedy policy is the next-best rollout.
+			seed, err = NewPolicy("max-coverage", MaxCoverageRule{}).rollout(in)
+		}
 	}
 	if err != nil {
 		return nil, reuse, fmt.Errorf("core: incumbent rollout failed: %w", err)
@@ -493,16 +495,28 @@ func appendBundleAdvances(out []Advance, g *graph.Graph, w, tmp bitset.Set, t in
 // ≥ limit, so subtrees provably at or above it are cut. depth indexes the
 // engine's frame arena; w is owned by the caller and read-only here.
 //
+// In the round-based system (wake period 1) every node is awake in every
+// slot, and dfs never sees full coverage (the root and the full-coverage
+// return below both guard it), so a finite hop bound means some covered
+// node has an uncovered neighbour and the next useful slot is t itself.
+// There the candidate scan waits until the bound, the memo and the budget
+// have all let the state through: most calls are cut before it. Under a
+// duty cycle the slot is the candidates' earliest wake, so the scan comes
+// first.
+//
 //mlbs:hotpath -- the branch-and-bound inner loop; the warm-path alloc pin depends on it staying allocation-free
 func (e *engine) dfs(depth int, w bitset.Set, t, limit int) (int, bool) {
 	fr := e.frame(depth)
-	slot, cands, ok := nextUsefulSlot(e.in.G, e.in.Wake, w, t, &fr.scratch)
-	if !ok {
-		return inf, true // no candidate can ever fire again
+	slot, cands := t, []graph.NodeID(nil)
+	if e.period > 1 {
+		var ok bool
+		if slot, cands, ok = nextUsefulSlot(e.in.G, e.in.Wake, w, t, &fr.scratch); !ok {
+			return inf, true // no candidate can ever fire again
+		}
 	}
 	hop := e.maxHop(w)
-	if hop >= inf {
-		return inf, true
+	if hop == 0 || hop >= inf {
+		return inf, true // full coverage or an unreachable node: a dead state
 	}
 	lb := slot + hop - 1
 	if lb >= limit {
@@ -539,6 +553,12 @@ func (e *engine) dfs(depth int, w bitset.Set, t, limit int) (int, bool) {
 	e.stats.Expanded++
 	if e.cfg.DepthProfile {
 		e.depthStats(depth).Expanded++
+	}
+	if e.period == 1 {
+		// All awake: the candidates are the awake candidates at slot t.
+		if cands = fr.scratch.Candidates(e.in.G, w); len(cands) == 0 {
+			return inf, true // unreachable: hop ≥ 1 leaves a candidate
+		}
 	}
 
 	bestExact, minLB := inf, inf
@@ -632,9 +652,14 @@ func (e *engine) reconstruct(w0 bitset.Set, t, want int) ([]Advance, error) {
 					continue
 				}
 			} else {
-				slot2, _, ok2 := nextUsefulSlot(e.in.G, e.in.Wake, w2, slot+1, &probe.scratch)
-				if !ok2 {
-					continue
+				// The child's memo slot, found as dfs finds it: the next
+				// slot in the round-based system, else the earliest wake.
+				slot2 := slot + 1
+				if e.period > 1 {
+					var ok2 bool
+					if slot2, _, ok2 = nextUsefulSlot(e.in.G, e.in.Wake, w2, slot+1, &probe.scratch); !ok2 {
+						continue
+					}
 				}
 				r, kind := e.memo.lookup(w2, slot2%e.period)
 				if kind != memoExact || slot2+int(r) != want {
