@@ -110,6 +110,14 @@ func (s Set) UnionWith(t Set) {
 	}
 }
 
+// UnionDifference sets s = s ∪ (t − u) — one class-receiver update of
+// the greedy partition, R |= N(v) \ W, without a temporary.
+func (s Set) UnionDifference(t, u Set) {
+	for i, w := range t {
+		s[i] |= w &^ u[i]
+	}
+}
+
 // IntersectWith sets s = s ∩ t.
 func (s Set) IntersectWith(t Set) {
 	for i, w := range t {

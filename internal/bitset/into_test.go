@@ -93,3 +93,13 @@ func TestHashWithDiscriminates(t *testing.T) {
 		record(s, "two-bit")
 	}
 }
+
+func TestUnionDifference(t *testing.T) {
+	s := FromMembers(130, 0, 70)
+	nbr := FromMembers(130, 1, 64, 70, 129)
+	w := FromMembers(130, 64)
+	s.UnionDifference(nbr, w)
+	if want := Union(FromMembers(130, 0, 70), Difference(nbr, w)); !s.Equal(want) {
+		t.Fatalf("UnionDifference = %v, want %v", s, want)
+	}
+}

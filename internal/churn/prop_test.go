@@ -1,6 +1,8 @@
 package churn
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"mlbs/internal/core"
@@ -107,4 +109,85 @@ func randomEvent(r *rng.Source, in core.Instance) Event {
 	default:
 		return Event{Kind: PositionJitter, Node: r.Intn(n), X: r.NormFloat64(), Y: r.NormFloat64()}
 	}
+}
+
+// TestClassifyKeepsOnlyValidPrefixes pins what the prefix strategy relies
+// on instead of re-validating: every prefix classify keeps — from base
+// plans tampered with at random (shifted, swapped or duplicated slots,
+// added, dropped or out-of-range senders, bad channels) and mutated by
+// random deltas — passes Schedule.Validate on the mutated instance, except
+// for completeness when the walk stopped short; and when the walk covered
+// every node, the prefix passes outright.
+func TestClassifyKeepsOnlyValidPrefixes(t *testing.T) {
+	bases := []core.Instance{paperSync(t, 60, 1), paperSync(t, 90, 2), paperDuty(t, 60, 3, 4), channelizedBase(t, 60, 3)}
+	trials := 60
+	if testing.Short() {
+		trials = 15
+	}
+	rp := NewReplanner(ReplanConfig{})
+	full := 0
+	for bi, in := range bases {
+		plan := basePlanFor(t, in).Schedule
+		r := rng.New(uint64(bi) + 41)
+		for trial := 0; trial < trials; trial++ {
+			sched := tamperPlan(r, plan, in.G.N())
+			var d Delta
+			if trial%3 != 0 {
+				d.Events = []Event{randomEvent(r, in)}
+			}
+			mutated, m, err := Apply(in, d)
+			if err != nil {
+				continue
+			}
+			kept := rp.classify(mutated, sched, m)
+			prefix := &core.Schedule{Source: mutated.Source, Start: mutated.Start, Advances: kept}
+			err = prefix.Validate(mutated)
+			if rp.walk.Covered().Len() == mutated.G.N() {
+				full++
+				if err != nil {
+					t.Fatalf("base %d trial %d: complete kept prefix fails Validate: %v", bi, trial, err)
+				}
+				continue
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "broadcast incomplete") {
+				t.Fatalf("base %d trial %d: kept prefix of %d advances breaks a slot rule: %v", bi, trial, len(kept), err)
+			}
+		}
+	}
+	if full == 0 {
+		t.Fatal("no trial kept a complete prefix; the prefix strategy went untested")
+	}
+}
+
+// tamperPlan returns a deep copy of plan with one random defect.
+func tamperPlan(r *rng.Source, plan *core.Schedule, n int) *core.Schedule {
+	out := &core.Schedule{Source: plan.Source, Start: plan.Start}
+	for _, a := range plan.Advances {
+		a.Senders = slices.Clone(a.Senders)
+		a.Covered = slices.Clone(a.Covered)
+		out.Advances = append(out.Advances, a)
+	}
+	advs := out.Advances
+	i := r.Intn(len(advs))
+	switch r.Intn(8) {
+	case 0: // untouched
+	case 1: // move the rest of the plan one slot earlier
+		for j := i; j < len(advs); j++ {
+			advs[j].T--
+		}
+	case 2: // swap two slots' times
+		j := r.Intn(len(advs))
+		advs[i].T, advs[j].T = advs[j].T, advs[i].T
+	case 3: // fire an advance twice
+		out.Advances = slices.Insert(advs, i, advs[i])
+	case 4: // an extra sender, possibly uncovered or conflicting
+		advs[i].Senders = append(advs[i].Senders, r.Intn(n))
+	case 5: // drop a sender
+		advs[i].Senders = advs[i].Senders[:len(advs[i].Senders)-1]
+	case 6: // a sender outside the node range
+		advs[i].Senders = append(advs[i].Senders, n+r.Intn(3), -1)
+	case 7: // a channel the instance may not have
+		advs[i].Channel = r.Intn(4)
+	}
+	return out
 }

@@ -105,9 +105,14 @@ func NewReplanner(cfg ReplanConfig) *Replanner {
 //     from scratch when the prefix kept less than MinKeptFrac of the base
 //     advances (StrategyCold).
 //
-// Every returned plan has been validated against the mutated instance;
-// an incremental repair that fails validation falls back to cold search
-// rather than returning a bad plan.
+// Every returned plan is valid for the mutated instance. A prefix plan is
+// valid by construction: classify keeps only slots the mutated instance's
+// core.SlotWalker — the walker Schedule.Validate runs — accepted, with
+// coverage re-derived by that walk, and the prefix strategy is taken only
+// when that walk covered every node (a property test pins that every kept
+// prefix passes Schedule.Validate). An incremental plan is validated as a
+// whole, and one that fails validation falls back to cold search rather
+// than returning a bad plan. A cold plan is the engine's own result.
 func (rp *Replanner) Replan(base core.Instance, basePlan *core.Schedule, d Delta) (*ReplanResult, error) {
 	if basePlan == nil {
 		return nil, errors.New("churn: nil base schedule")
@@ -127,18 +132,13 @@ func (rp *Replanner) Replan(base core.Instance, basePlan *core.Schedule, d Delta
 	n := mutated.G.N()
 	if rp.minKeptFrac >= 0 && rp.walk.Covered().Len() == n {
 		sched := &core.Schedule{Source: mutated.Source, Start: mutated.Start, Advances: kept}
-		if err := sched.Validate(mutated); err == nil {
-			out.Strategy = StrategyPrefix
-			out.Result = &core.Result{
-				Scheduler: "replan-prefix(" + rp.sched.Name() + ")",
-				Schedule:  sched,
-				PA:        sched.PA(),
-			}
-			return out, nil
+		out.Strategy = StrategyPrefix
+		out.Result = &core.Result{
+			Scheduler: "replan-prefix(" + rp.sched.Name() + ")",
+			Schedule:  sched,
+			PA:        sched.PA(),
 		}
-		// A prefix that fails validation is a classification bug; recover
-		// through the cold path instead of surfacing a broken plan.
-		kept = nil
+		return out, nil
 	}
 
 	incremental := rp.minKeptFrac >= 0 && len(kept) > 0 &&

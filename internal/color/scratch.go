@@ -27,10 +27,15 @@ type Scratch struct {
 
 	classes []Class
 	members []graph.NodeID // backing storage the returned classes slice into
-	order   []graph.NodeID
+	order   []graph.NodeID // greedy order; compacted to the unlabeled rest each round
 	recv    []int
-	labeled []bool
+	count   []int // receiver-count buckets of the counting sort
 	sorter  recvSorter
+
+	// Per-class advances of the latest partition or maximal-set call:
+	// cover[i] = N(classes[i]) \ W, sliced from coverSlab.
+	cover     []bitset.Set
+	coverSlab []uint64
 
 	cands []graph.NodeID
 	awake []graph.NodeID
@@ -87,14 +92,38 @@ func (sc *Scratch) FilterAwake(cands []graph.NodeID, s dutycycle.Schedule, t int
 	return sc.awake
 }
 
-// CoveredLen returns |A| for the advance A the class would produce —
-// Class.Covered(...).Len() without materializing a fresh set.
-func (sc *Scratch) CoveredLen(g *graph.Graph, w bitset.Set, c Class) int {
-	if sc.covTmp.Capacity() < w.Capacity() {
-		sc.covTmp = bitset.New(w.Capacity())
+// ClassCovered returns the advance A = N(c) \ W of class i of the latest
+// GreedyPartitionOracle or MaximalSetsOracle call on this Scratch — what
+// classes[i].CoveredInto would compute. It aliases the Scratch and is
+// valid until the next of those calls.
+//
+//mlbs:hotpath -- read for every class move and every rollout rule's class
+func (sc *Scratch) ClassCovered(i int) bitset.Set { return sc.cover[i] }
+
+// coverClasses fills the per-class advances from the member lists, one
+// CoveredInto per class — the coverage of every partition the union fast
+// path did not build.
+//
+//mlbs:hotpath -- per-class coverage of the member-loop partition and of every maximal-set state
+func (sc *Scratch) coverClasses(g *graph.Graph, w bitset.Set, classes []Class) {
+	words := w.Words()
+	sc.coverSlab = slices.Grow(sc.coverSlab[:0], len(classes)*words)[:len(classes)*words]
+	for i, cls := range classes {
+		cls.CoveredInto(g, w, sc.coverSlab[i*words:(i+1)*words])
 	}
-	tmp := sc.covTmp[:w.Words()]
-	return c.CoveredInto(g, w, tmp).Len()
+	sc.sliceCover(words, len(classes))
+}
+
+// sliceCover points cover[i] at the i-th words-long block of coverSlab for
+// the first k blocks. Headers are cut only once the slab has stopped
+// growing.
+//
+//mlbs:hotpath -- runs once per partition; reuses the header slice
+func (sc *Scratch) sliceCover(words, k int) {
+	sc.cover = sc.cover[:0]
+	for i := 0; i < k; i++ {
+		sc.cover = append(sc.cover, sc.coverSlab[i*words:(i+1)*words:(i+1)*words])
+	}
 }
 
 // recvSorter orders candidates by descending receiver count, ties by
@@ -130,66 +159,159 @@ func (sc *Scratch) GreedyPartition(g *graph.Graph, w bitset.Set, cands []graph.N
 }
 
 // GreedyPartitionOracle runs Algorithm 1's greedy labeling with class
-// admissibility judged by o instead of the inline protocol predicate.
-// Under the graph oracle it is bit-identical to GreedyPartition (CanJoin
-// is the very same member loop). Under a non-pairwise oracle a candidate
-// may fail to open even a singleton class (a lone sender below the SINR
-// noise floor); such candidates are labeled out of the partition — they
-// can never fire at this coverage, and dropping them is what keeps the
-// outer loop terminating.
+// admissibility judged by o instead of the inline protocol predicate, and
+// leaves each class's advance in the Scratch (ClassCovered).
+//
+// Under the pairwise graph oracle, bound to g, u conflicts with member v
+// iff N(u) ∩ N(v) \ W ≠ ∅, so u may join a class iff N(u) meets none of
+// the class's receivers R = N(class) \ W: one bitset test per (candidate,
+// class) instead of one per member, and the finished R is the class's
+// advance. Candidates in ascending ID order — as Candidates and
+// FilterAwake produce them — are ordered by a stable counting sort on
+// receiver count, which on distinct ascending IDs gives exactly
+// sort.Stable's (receivers descending, ID ascending) order.
+//
+// Any other oracle keeps the member loop: CanJoin per candidate and class.
+// SINR admissibility is not pairwise (a third sender can doom or rescue a
+// receiver), so no per-class union can stand in for it. Under such an
+// oracle a candidate may fail to open even a singleton class (a lone
+// sender below the SINR noise floor); such candidates are labeled out of
+// the partition — they can never fire at this coverage, and dropping them
+// is what keeps the outer loop terminating.
 //
 //mlbs:hotpath -- Algorithm 1's move generator; allocation-free on a warm Scratch by design
 func (sc *Scratch) GreedyPartitionOracle(g *graph.Graph, w bitset.Set, cands []graph.NodeID, o interference.Oracle) []Class {
+	sc.classes = sc.classes[:0]
+	sc.cover = sc.cover[:0]
 	if len(cands) == 0 {
 		return nil
 	}
-	sc.order = append(sc.order[:0], cands...)
+	gor, _ := o.(*interference.GraphOracle)
+	union := gor != nil && gor.Graph() == g
 	sc.recv = sc.recv[:0]
-	for _, u := range sc.order {
-		sc.recv = append(sc.recv, Receivers(g, u, w))
+	maxRecv, ascending := 0, true
+	for i, u := range cands {
+		r := Receivers(g, u, w)
+		sc.recv = append(sc.recv, r)
+		maxRecv = max(maxRecv, r)
+		if i > 0 && u <= cands[i-1] {
+			ascending = false
+		}
 	}
-	sc.sorter.ids, sc.sorter.recv = sc.order, sc.recv
-	sort.Stable(&sc.sorter)
+	if union && ascending {
+		sc.countingOrder(cands, maxRecv)
+	} else {
+		sc.order = append(sc.order[:0], cands...)
+		sc.sorter.ids, sc.sorter.recv = sc.order, sc.recv
+		sort.Stable(&sc.sorter)
+		// A node never conflicts with itself, which the union test cannot
+		// see; the sort made any duplicate IDs adjacent.
+		for i := 1; union && i < len(sc.order); i++ {
+			union = sc.order[i] != sc.order[i-1]
+		}
+	}
 
-	total := len(sc.order)
-	sc.labeled = sc.labeled[:0]
-	for i := 0; i < total; i++ {
-		sc.labeled = append(sc.labeled, false)
-	}
-	if cap(sc.members) < total {
-		sc.members = make([]graph.NodeID, 0, total)
+	if cap(sc.members) < len(cands) {
+		sc.members = make([]graph.NodeID, 0, len(cands))
 	} else {
 		sc.members = sc.members[:0]
 	}
-	sc.classes = sc.classes[:0]
-	done := 0
-	for done < total {
+	if union {
+		sc.unionClasses(g, w)
+	} else {
+		sc.memberClasses(w, o)
+		sc.coverClasses(g, w, sc.classes)
+	}
+	return sc.classes
+}
+
+// countingOrder writes cands into sc.order by descending receiver count
+// (sc.recv, parallel to cands), ties in input order: a stable counting
+// sort over the receiver counts 0..maxRecv.
+//
+//mlbs:hotpath -- the greedy order of every graph-oracle partition
+func (sc *Scratch) countingOrder(cands []graph.NodeID, maxRecv int) {
+	sc.count = slices.Grow(sc.count[:0], maxRecv+1)[:maxRecv+1]
+	clear(sc.count)
+	for _, r := range sc.recv {
+		sc.count[r]++
+	}
+	pos := 0
+	for r := maxRecv; r >= 0; r-- {
+		c := sc.count[r]
+		sc.count[r] = pos
+		pos += c
+	}
+	sc.order = slices.Grow(sc.order[:0], len(cands))[:len(cands)]
+	for i, u := range cands {
+		r := sc.recv[i]
+		sc.order[sc.count[r]] = u
+		sc.count[r]++
+	}
+}
+
+// unionClasses labels sc.order greedily under the graph oracle, one open
+// class at a time: u joins iff N(u) misses the class's receiver set R,
+// and joining adds N(u) \ W to R. The candidates not labeled stay in
+// sc.order, compacted in greedy order, for the next class. R grows in
+// coverSlab one class at a time and ends as the class's advance.
+//
+//mlbs:hotpath -- Algorithm 1's labeling under the protocol model; runs once per expanded state
+func (sc *Scratch) unionClasses(g *graph.Graph, w bitset.Set) {
+	words := w.Words()
+	sc.coverSlab = sc.coverSlab[:0]
+	left := sc.order
+	for len(left) > 0 {
+		off := len(sc.coverSlab)
+		sc.coverSlab = slices.Grow(sc.coverSlab, words)[:off+words]
+		r := bitset.Set(sc.coverSlab[off:])
+		r.Clear()
 		start := len(sc.members)
-		for oi, u := range sc.order {
-			if sc.labeled[oi] {
+		rest := left[:0]
+		for _, u := range left {
+			nu := g.Nbr(u)
+			if r.Intersects(nu) {
+				rest = append(rest, u)
 				continue
 			}
-			if !o.CanJoin(w, sc.members[start:], u) {
-				if start == len(sc.members) {
-					// u cannot fire even alone at this coverage (never the
-					// case under the pairwise graph oracle): drop it so the
-					// partition terminates.
-					sc.labeled[oi] = true
-					done++
-				}
-				continue
-			}
+			r.UnionDifference(nu, w)
 			sc.members = append(sc.members, u)
-			sc.labeled[oi] = true
-			done++
 		}
+		left = rest
+		cls := Class(sc.members[start:len(sc.members):len(sc.members)])
+		sort.Ints(cls)
+		sc.classes = append(sc.classes, cls)
+	}
+	sc.sliceCover(words, len(sc.classes))
+}
+
+// memberClasses labels sc.order greedily with o.CanJoin against the open
+// class's member list, compacting the unlabeled rest like unionClasses. A
+// candidate that cannot open a class alone is dropped.
+//
+//mlbs:hotpath -- Algorithm 1's labeling under any non-graph oracle (SINR)
+func (sc *Scratch) memberClasses(w bitset.Set, o interference.Oracle) {
+	left := sc.order
+	for len(left) > 0 {
+		start := len(sc.members)
+		rest := left[:0]
+		for _, u := range left {
+			if o.CanJoin(w, sc.members[start:], u) {
+				sc.members = append(sc.members, u)
+			} else if start != len(sc.members) {
+				rest = append(rest, u)
+			}
+			// Otherwise u cannot fire even alone at this coverage (never
+			// the case under the pairwise graph oracle): it is dropped so
+			// the partition terminates.
+		}
+		left = rest
 		cls := Class(sc.members[start:len(sc.members):len(sc.members)])
 		if len(cls) > 0 {
 			sort.Ints(cls)
 			sc.classes = append(sc.classes, cls)
 		}
 	}
-	return sc.classes
 }
 
 // MaximalSets is the buffer-reuse form of the package-level MaximalSets:
@@ -218,6 +340,7 @@ func (sc *Scratch) MaximalSets(g *graph.Graph, w bitset.Set, cands []graph.NodeI
 func (sc *Scratch) MaximalSetsOracle(g *graph.Graph, w bitset.Set, cands []graph.NodeID, limit int, o interference.Oracle) ([]Class, bool) {
 	k := len(cands)
 	if k == 0 {
+		sc.cover = sc.cover[:0]
 		return nil, false
 	}
 	st := &sc.mk
@@ -271,6 +394,7 @@ func (sc *Scratch) MaximalSetsOracle(g *graph.Graph, w bitset.Set, cands []graph
 		st.truncated = true
 	}
 	st.g, st.w, st.cands, st.pool = nil, nil, nil, nil
+	sc.coverClasses(g, w, st.out)
 	return st.out, st.truncated
 }
 

@@ -72,13 +72,24 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Every class of a partition or maximal-set call leaves its advance in the
+// Scratch.
 func TestScratchCoveredLen(t *testing.T) {
-	g, w := randomScenario(5)
-	var sc Scratch
-	for _, cls := range GreedySync(g, w) {
-		if got, want := sc.CoveredLen(g, w, cls), cls.Covered(g, w).Len(); got != want {
-			t.Fatalf("CoveredLen(%v) = %d, want %d", cls, got, want)
+	for seed := uint64(1); seed <= 25; seed++ {
+		g, w := randomScenario(seed)
+		var sc Scratch
+		cands := Candidates(g, w)
+		check := func(what string, classes []Class) {
+			for i, cls := range classes {
+				want := cls.Covered(g, w)
+				if got := sc.ClassCovered(i); !got.Equal(want) {
+					t.Fatalf("seed %d %s: ClassCovered(%d) = %v, want %v", seed, what, i, got, want)
+				}
+			}
 		}
+		check("greedy", sc.GreedyPartition(g, w, cands))
+		sets, _ := sc.MaximalSets(g, w, cands, 0)
+		check("maximal", sets)
 	}
 }
 

@@ -447,13 +447,15 @@ func nextUsefulSlot(g *graph.Graph, wake dutycycle.Schedule, w bitset.Set, t int
 // a single color class on the shared channel (bundle nil), or — on a
 // multi-channel instance — a bundle of up to K sender-disjoint classes,
 // one per channel. covLen is the size of the (joint) advance it would
-// produce; the advance's member set is deliberately absent — it is
-// materialized into the frame's single active-coverage buffer only when
+// produce. A class's advance is the one its move generator already built
+// (covered, aliasing the frame's color scratch); a bundle's joint advance
+// is materialized into the frame's single active-coverage buffer only when
 // the search actually descends into the move, so pruned branches never
 // pay for it.
 type move struct {
 	senders color.Class
 	bundle  color.Bundle // nil in the single-channel system
+	covered bitset.Set   // the class's advance; nil for a bundle
 	covLen  int
 }
 

@@ -13,10 +13,11 @@ import (
 
 // SelectRule picks which greedy color fires, given the classes computed at
 // the current slot. Implementations must be deterministic functions of
-// their inputs (Random carries its own seeded stream). sc is the caller's
-// color scratch: rules needing per-class coverage sizes query
-// sc.CoveredLen instead of materializing sets, keeping rollouts
-// allocation-free.
+// their inputs (Random carries its own seeded stream). classes is the
+// result of the latest sc.GreedyPartitionOracle, so rules needing
+// per-class coverage sizes read sc.ClassCovered(i).Len() — the advance the
+// partition already built, under every oracle — instead of materializing
+// sets.
 type SelectRule interface {
 	Name() string
 	// Select returns the index of the class to fire. classes is non-empty;
@@ -45,7 +46,7 @@ func (r EModelRule) Select(g *graph.Graph, w bitset.Set, classes []color.Class, 
 				score = s
 			}
 		}
-		cover := sc.CoveredLen(g, w, cls)
+		cover := sc.ClassCovered(i).Len()
 		if score > bestScore || (score == bestScore && cover > bestCover) {
 			bestIdx, bestScore, bestCover = i, score, cover
 		}
@@ -76,7 +77,7 @@ func (r EnergyAwareRule) Select(g *graph.Graph, w bitset.Set, classes []color.Cl
 				score = s
 			}
 		}
-		cover := sc.CoveredLen(g, w, cls)
+		cover := sc.ClassCovered(i).Len()
 		senders := len(cls)
 		better := score > bestScore ||
 			(score == bestScore && cover > bestCover) ||
@@ -114,8 +115,8 @@ func (MaxCoverageRule) Name() string { return "max-coverage" }
 // Select implements SelectRule.
 func (MaxCoverageRule) Select(g *graph.Graph, w bitset.Set, classes []color.Class, sc *color.Scratch) int {
 	best, bestCover := 0, -1
-	for i, cls := range classes {
-		if c := sc.CoveredLen(g, w, cls); c > bestCover {
+	for i := range classes {
+		if c := sc.ClassCovered(i).Len(); c > bestCover {
 			best, bestCover = i, c
 		}
 	}
@@ -184,12 +185,18 @@ func (p *Policy) Schedule(in Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return p.rollout(in)
+	var sc color.Scratch
+	var ib interference.Binder
+	return p.rollout(in, &sc, in.Oracle(&ib))
 }
 
-// rollout is Schedule on an instance the caller has already validated:
-// the search's own default incumbent skips the second connectivity check.
-func (p *Policy) rollout(in Instance) (*Result, error) {
+// rollout is Schedule on an instance the caller has already validated —
+// the search's own default incumbent skips the second connectivity check
+// — with the color scratch and the bound interference oracle supplied by
+// the caller: the search lends its own, so the rollout adds no buffers.
+// sc serves the whole rollout; the only per-advance allocations are the
+// schedule's own sender/receiver lists, which outlive the loop.
+func (p *Policy) rollout(in Instance, sc *color.Scratch, oracle interference.Oracle) (*Result, error) {
 	rule, err := p.NewRule(in)
 	if err != nil {
 		return nil, err
@@ -198,21 +205,13 @@ func (p *Policy) rollout(in Instance) (*Result, error) {
 	w := in.initialCoverage()
 	sched := &Schedule{Source: in.Source, Start: in.Start}
 
-	// One scratch and one coverage buffer serve the whole rollout: the only
-	// per-advance allocations left are the schedule's own sender/receiver
-	// lists, which outlive the loop.
-	var sc color.Scratch
-	var ib interference.Binder
-	oracle := in.Oracle(&ib)
-	covered := bitset.New(n)
-
 	// Safety horizon: every advance covers ≥1 node and arrives within one
 	// wake period of the previous one, so a complete broadcast needs fewer
 	// than n·(period+1) slots past the start.
 	horizon := in.Start + n*(in.Wake.Period()+1) + in.Wake.Period()
 	t := in.Start
 	for w.Len() < n {
-		slot, cands, ok := nextUsefulSlot(in.G, in.Wake, w, t, &sc)
+		slot, cands, ok := nextUsefulSlot(in.G, in.Wake, w, t, sc)
 		if !ok {
 			return nil, fmt.Errorf("core: no candidates with coverage %v (disconnected?)", w)
 		}
@@ -220,15 +219,14 @@ func (p *Policy) rollout(in Instance) (*Result, error) {
 			return nil, fmt.Errorf("core: policy exceeded horizon %d (wake schedule starves candidates)", horizon)
 		}
 		classes := sc.GreedyPartitionOracle(in.G, w, cands, oracle)
-		pick := rule.Select(in.G, w, classes, &sc)
+		pick := rule.Select(in.G, w, classes, sc)
 		if pick < 0 || pick >= len(classes) {
 			return nil, fmt.Errorf("core: rule %s selected class %d of %d", rule.Name(), pick, len(classes))
 		}
-		cls := classes[pick]
-		cls.CoveredInto(in.G, w, covered)
+		covered := sc.ClassCovered(pick)
 		sched.Advances = append(sched.Advances, Advance{
 			T:       slot,
-			Senders: append([]graph.NodeID(nil), cls...),
+			Senders: append([]graph.NodeID(nil), classes[pick]...),
 			Covered: covered.Members(),
 		})
 		w.UnionWith(covered)

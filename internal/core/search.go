@@ -100,11 +100,11 @@ type pendingAdvance struct {
 	covered bitset.Set
 }
 
-// frame is the per-depth scratch arena of the search: color buffers, the
-// generated moves, the coverage set of the move currently being explored
-// (active), and the child-coverage buffer (w2). Frames are reused across
-// every visit to their depth, so a warm search expands states without
-// allocating.
+// frame is the per-depth scratch arena of the search: color buffers (which
+// also hold each class move's advance), the generated moves, the joint
+// coverage of the bundle move currently being explored (active), and the
+// child-coverage buffer (w2). Frames are reused across every visit to
+// their depth, so a warm search expands states without allocating.
 type frame struct {
 	scratch color.Scratch
 	moves   []move
@@ -173,22 +173,37 @@ func newEngine(in Instance, cfg SearchConfig) *engine {
 	return e
 }
 
-// sizeHop allocates maxHop's level bitsets for the bound node count.
+// sizeHop sizes maxHop's level bitsets to the bound node count.
 func (e *engine) sizeHop() {
-	e.hopLeft, e.hopFront, e.hopNext = bitset.New(e.n), bitset.New(e.n), bitset.New(e.n)
+	e.hopLeft = resized(e.hopLeft, e.n)
+	e.hopFront = resized(e.hopFront, e.n)
+	e.hopNext = resized(e.hopNext, e.n)
 }
 
-// reset rebinds a used engine to a new instance while keeping every arena
-// that can survive: the bitset pool always carries over (it is binned by
-// word count), and the frame arena, hop-bound level sets and memo storage
-// carry over whenever the node count is unchanged. The incumbent slice is
-// detached, not truncated — the previous Result still aliases it.
+// resized returns an empty set over n nodes, cut from s's storage when it
+// has room: an engine serving mixed node counts keeps its arenas.
+func resized(s bitset.Set, n int) bitset.Set {
+	words := bitset.WordsFor(n)
+	if cap(s) < words {
+		return bitset.New(n)
+	}
+	s = s[:words]
+	s.Clear()
+	return s
+}
+
+// reset rebinds a used engine to a new instance while keeping every arena:
+// the bitset pool (binned by word count), the memo storage, and the frame
+// arena with its color scratches and the hop-bound level sets, whose
+// n-sized bitsets are re-cut when the node count changes. The incumbent
+// slice is detached, not truncated — the previous Result still aliases it.
 func (e *engine) reset(in Instance, cfg SearchConfig) {
-	n := in.G.N()
-	if n != e.n {
-		e.frames = nil
+	if n := in.G.N(); n != e.n {
 		e.n = n
 		e.sizeHop()
+		for _, f := range e.frames {
+			f.active, f.w2 = resized(f.active, n), resized(f.w2, n)
+		}
 	}
 	e.in = in
 	e.cfg = cfg
@@ -248,6 +263,12 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = color.DefaultMaxBundles
 	}
+	e := reuse
+	if e == nil {
+		e = newEngine(in, cfg)
+	} else {
+		e.reset(in, cfg)
+	}
 	var seed *Result
 	var err error
 	switch {
@@ -259,23 +280,19 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 		// search usually only has to prove a fail-high.
 		seed, err = NewGOPT(cfg.Budget).Schedule(in)
 	default:
-		// The policies below roll out on the instance validated above.
-		seed, err = NewEModel().rollout(in)
+		// The policies below roll out on the instance validated above,
+		// borrowing frame 0's scratch and the engine's oracle: the dfs has
+		// not started, and the rollout is done with both before it does.
+		sc := &e.frame(0).scratch
+		seed, err = NewEModel().rollout(in, sc, e.oracle)
 		if errors.Is(err, emodel.ErrCoincidentPositions) {
 			// Abstract graphs without geometry cannot host the E-model;
 			// the utilization-greedy policy is the next-best rollout.
-			seed, err = NewPolicy("max-coverage", MaxCoverageRule{}).rollout(in)
+			seed, err = NewPolicy("max-coverage", MaxCoverageRule{}).rollout(in, sc, e.oracle)
 		}
 	}
 	if err != nil {
-		return nil, reuse, fmt.Errorf("core: incumbent rollout failed: %w", err)
-	}
-
-	e := reuse
-	if e == nil {
-		e = newEngine(in, cfg)
-	} else {
-		e.reset(in, cfg)
+		return nil, e, fmt.Errorf("core: incumbent rollout failed: %w", err)
 	}
 	e.bestEnd = seed.Schedule.End()
 	e.best = append([]Advance(nil), seed.Schedule.Advances...)
@@ -380,9 +397,11 @@ func (e *engine) maxHop(w bitset.Set) int {
 
 // moves generates the color sets available at slot among the awake
 // candidates into fr, largest coverage first (ties: ascending lexicographic
-// senders). On a multi-channel instance every move is a bundle of up to K
-// sender-disjoint classes — one per channel — instead of a single class.
-// The returned slice and everything it references belong to fr and are
+// senders). A single-class move carries its advance as the move generator
+// left it in fr.scratch. On a multi-channel instance every move is a
+// bundle of up to K sender-disjoint classes — one per channel — instead of
+// a single class, and its advance is built when the move is walked. The
+// returned slice and everything it references belong to fr and are
 // clobbered by the frame's next use.
 //
 //mlbs:hotpath -- move generation runs once per expanded node; warm frames reuse every buffer
@@ -416,8 +435,9 @@ func (e *engine) moves(fr *frame, w bitset.Set, cands []graph.NodeID, slot int) 
 		slices.SortStableFunc(fr.moves, compareMoves)
 		return fr.moves
 	}
-	for _, c := range classes {
-		fr.moves = append(fr.moves, move{senders: c, covLen: fr.scratch.CoveredLen(e.in.G, w, c)})
+	for i, c := range classes {
+		cov := fr.scratch.ClassCovered(i)
+		fr.moves = append(fr.moves, move{senders: c, covered: cov, covLen: cov.Len()})
 	}
 	slices.SortStableFunc(fr.moves, compareMoves)
 	return fr.moves
@@ -567,13 +587,12 @@ func (e *engine) dfs(depth int, w bitset.Set, t, limit int) (int, bool) {
 		if m.covLen == 0 {
 			continue // defensive: candidates always cover someone
 		}
+		cov := m.covered
 		if m.bundle != nil {
-			m.bundle.CoveredInto(e.in.G, w, fr.active)
-		} else {
-			m.senders.CoveredInto(e.in.G, w, fr.active)
+			cov = m.bundle.CoveredInto(e.in.G, w, fr.active)
 		}
-		bitset.UnionInto(fr.w2, w, fr.active)
-		e.stack = append(e.stack, pendingAdvance{t: slot, senders: m.senders, bundle: m.bundle, covered: fr.active})
+		bitset.UnionInto(fr.w2, w, cov)
+		e.stack = append(e.stack, pendingAdvance{t: slot, senders: m.senders, bundle: m.bundle, covered: cov})
 		if m.covLen+w.Len() == e.n {
 			// Ending at the current slot is unbeatable from this state
 			// (full coverage in one advance forces hop == 1, so lb == slot);
@@ -641,12 +660,11 @@ func (e *engine) reconstruct(w0 bitset.Set, t, want int) ([]Advance, error) {
 			if m.covLen == 0 {
 				continue
 			}
+			cov := m.covered
 			if m.bundle != nil {
-				m.bundle.CoveredInto(e.in.G, w, fr.active)
-			} else {
-				m.senders.CoveredInto(e.in.G, w, fr.active)
+				cov = m.bundle.CoveredInto(e.in.G, w, fr.active)
 			}
-			bitset.UnionInto(w2, w, fr.active)
+			bitset.UnionInto(w2, w, cov)
 			if w2.Len() == e.n {
 				if slot != want {
 					continue
@@ -676,9 +694,9 @@ func (e *engine) reconstruct(w0 bitset.Set, t, want int) ([]Advance, error) {
 				out = append(out, Advance{
 					T:       slot,
 					Senders: append([]graph.NodeID(nil), m.senders...),
-					Covered: fr.active.Members(),
+					Covered: cov.Members(),
 				})
-				w.UnionWith(fr.active)
+				w.UnionWith(cov)
 			}
 			t = slot + 1
 			found = true

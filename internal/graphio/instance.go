@@ -286,11 +286,17 @@ const digestMagic = "mlbs-instance-v1"
 // the shared substrate of every content digest in the system (instance
 // digests here, delta digests in the churn package). One writer, one
 // byte-layout convention: little-endian u64s, length-prefixed strings
-// and slices.
+// and slices. Writes are buffered and reach the hash in blocks of
+// len(buf) bytes, so an instance costs a few dozen hash.Write calls
+// instead of one per word; the bytes hashed are the same.
 type DigestWriter struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // bytes pending in buf
+	buf [digestBufBytes]byte
 }
+
+// digestBufBytes is the DigestWriter's write buffer: eight SHA-256 blocks.
+const digestBufBytes = 512
 
 // NewDigestWriter returns a writer seeded with the given magic string —
 // the version tag that keeps digest schemes from aliasing each other.
@@ -302,15 +308,34 @@ func NewDigestWriter(magic string) *DigestWriter {
 
 // U64 writes one little-endian 64-bit word.
 func (w *DigestWriter) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+// flush hands the buffered bytes to the hash.
+func (w *DigestWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
 }
 
 // I writes an int. F writes a float64 by bit pattern. S writes a
 // length-prefixed string. Ints writes a length-prefixed int slice.
 func (w *DigestWriter) I(v int)     { w.U64(uint64(int64(v))) }
 func (w *DigestWriter) F(v float64) { w.U64(math.Float64bits(v)) }
-func (w *DigestWriter) S(v string)  { w.I(len(v)); w.h.Write([]byte(v)) }
+func (w *DigestWriter) S(v string) {
+	w.I(len(v))
+	for len(v) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], v)
+		w.n += c
+		v = v[c:]
+	}
+}
 func (w *DigestWriter) Ints(v []int) {
 	w.I(len(v))
 	for _, x := range v {
@@ -318,8 +343,10 @@ func (w *DigestWriter) Ints(v []int) {
 	}
 }
 
-// Sum finalizes the digest.
+// Sum finalizes the digest. It leaves the writer's state intact: more
+// writes may follow, and a later Sum digests the whole stream.
 func (w *DigestWriter) Sum() Digest {
+	w.flush()
 	var d Digest
 	w.h.Sum(d[:0])
 	return d

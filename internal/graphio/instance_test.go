@@ -2,7 +2,9 @@ package graphio
 
 import (
 	"bytes"
-
+	"crypto/sha256"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"mlbs/internal/core"
@@ -275,5 +277,52 @@ func TestResultWireStability(t *testing.T) {
 	}
 	if got.Generation != 3 || !got.Improved {
 		t.Fatalf("provenance lost in round trip: gen %d improved %v", got.Generation, got.Improved)
+	}
+}
+
+// The buffered writer must hash exactly the canonical byte stream, across
+// buffer boundaries and around a mid-stream Sum.
+func TestDigestWriterBuffering(t *testing.T) {
+	long := strings.Repeat("0123456789abcdef", 100) // longer than the buffer
+	var want []byte
+	u64 := func(v uint64) { want = binary.LittleEndian.AppendUint64(want, v) }
+	str := func(s string) { u64(uint64(len(s))); want = append(want, s...) }
+
+	w := NewDigestWriter("magic")
+	str("magic")
+	for i := 0; i < 100; i++ {
+		w.U64(uint64(i) * 0x9e3779b97f4a7c15)
+		u64(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	w.S(long)
+	str(long)
+	if got := w.Sum(); got != Digest(sha256.Sum256(want)) {
+		t.Fatalf("mid-stream Sum = %s, want %s", got, Digest(sha256.Sum256(want)))
+	}
+	w.S("agg")
+	str("agg")
+	w.Ints([]int{-1, 7})
+	u64(2)
+	u64(uint64(1<<64 - 1))
+	u64(7)
+	if got := w.Sum(); got != Digest(sha256.Sum256(want)) {
+		t.Fatalf("final Sum = %s, want %s", got, Digest(sha256.Sum256(want)))
+	}
+}
+
+// BenchmarkInstanceDigest300 is both digests of a 300-node paper
+// deployment — the digest work of one cold request.
+func BenchmarkInstanceDigest300(b *testing.B) {
+	dep, err := topology.Generate(topology.PaperConfig(300), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := core.Sync(dep.G, dep.Source)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := InstanceDigests(in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

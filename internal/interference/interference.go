@@ -174,6 +174,9 @@ type GraphOracle struct {
 // Reset rebinds the oracle to a graph; allocation-free.
 func (o *GraphOracle) Reset(g *graph.Graph) { o.g = g }
 
+// Graph returns the graph the oracle is bound to.
+func (o *GraphOracle) Graph() *graph.Graph { return o.g }
+
 // Name implements Oracle.
 func (o *GraphOracle) Name() string { return "graph" }
 
