@@ -115,7 +115,9 @@ func (in Instance) Validate() error {
 			return errors.New("core: SINR interference model requires distinct node positions")
 		}
 	}
-	if _, connected := in.G.Eccentricity(in.Source); !connected {
+	// An undirected graph reaches every node from the source exactly when
+	// it is connected; the graph memoizes that fact for every later caller.
+	if !in.G.Connected() {
 		return errors.New("core: graph not connected from source; broadcast cannot complete")
 	}
 	return nil

@@ -60,7 +60,10 @@ func randomCover(n, src int, p float64, r *rng.Source) bitset.Set {
 // queue BFS it replaced, on one engine rebound across sizes that straddle
 // word boundaries (partial and exact last words), over random trees, paper
 // deployments and disconnected unit-disk graphs, with random, empty, single
-// and full coverage.
+// and full coverage. Both level directions are exercised: a source-only
+// state starts top-down (a frontier of one) and turns bottom-up once the
+// frontier outgrows the nodes left, and a near-full state (all but up to
+// three nodes covered) is bottom-up from its first level.
 func TestMaxHopMatchesBFS(t *testing.T) {
 	r := rng.New(17)
 	var e *engine
@@ -88,6 +91,15 @@ func TestMaxHopMatchesBFS(t *testing.T) {
 		check(name+"/full", g, full)
 		if got := e.maxHop(full); got != 0 {
 			t.Errorf("%s n=%d: full coverage maxHop=%d, want 0", name, n, got)
+		}
+		for i := 0; i < 4; i++ {
+			near := full.Clone()
+			for j := 0; j < 1+i%3; j++ {
+				if v := r.Intn(n); v != src {
+					near.Remove(v)
+				}
+			}
+			check(name+"/near-full", g, near)
 		}
 		for _, p := range []float64{0.02, 0.1, 0.3, 0.6, 0.9} {
 			for i := 0; i < 4; i++ {
@@ -211,6 +223,24 @@ func TestFiniteHopMeansSlotNow(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no state checked")
+	}
+}
+
+// BenchmarkMaxHopSourceOnly times the hop bound alone on an n=300 paper
+// deployment covering only the source — the root of every sync search,
+// whose first levels the bound builds top-down.
+func BenchmarkMaxHopSourceOnly(b *testing.B) {
+	dep, err := topology.Generate(topology.PaperConfig(300), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := Sync(dep.G, dep.Source)
+	w := in.initialCoverage()
+	e := newEngine(in, SearchConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.maxHop(w)
 	}
 }
 

@@ -42,7 +42,7 @@ func (r EModelRule) Select(g *graph.Graph, w bitset.Set, classes []color.Class, 
 	for i, cls := range classes {
 		score := -1.0
 		for _, u := range cls {
-			if s := r.Table.Score(g, u, w); s > score {
+			if s := r.Table.Score(u, w); s > score {
 				score = s
 			}
 		}
@@ -73,7 +73,7 @@ func (r EnergyAwareRule) Select(g *graph.Graph, w bitset.Set, classes []color.Cl
 	for i, cls := range classes {
 		score := -1.0
 		for _, u := range cls {
-			if s := r.Table.Score(g, u, w); s > score {
+			if s := r.Table.Score(u, w); s > score {
 				score = s
 			}
 		}

@@ -350,11 +350,15 @@ func (s *Search) run(in Instance, cfg SearchConfig, reuse *engine) (*Result, *en
 // node — the admissible lower bound on remaining advances (each advance
 // extends coverage by at most one hop) — or inf when some node is
 // unreachable. It is a multi-source BFS run level by level over the
-// neighbor bitsets, bottom-up: each level adds every node still left whose
-// neighbor row meets the frontier, so a node costs a few-word AND with an
-// early exit rather than a walk over its adjacency list. Level l holds
-// exactly the nodes at hop distance l, so the level count is the queue
-// BFS's maximum distance.
+// neighbor bitsets, direction-optimizing on running counts of the
+// frontier and of the nodes left. While the frontier is the smaller, a
+// level is built top-down: the OR of the frontier's neighbor rows, masked
+// by the nodes left, a few-word OR per frontier node. Otherwise it is
+// built bottom-up: each node left whose neighbor row meets the frontier
+// joins, a few-word AND with an early exit per node left. Both build the
+// same set — the nodes left that neighbor the frontier — so level l holds
+// exactly the nodes at hop distance l whichever way it was built, and the
+// level count is the queue BFS's maximum distance.
 //
 //mlbs:hotpath -- evaluated at the top of every dfs call, memo hits and pruned children included
 func (e *engine) maxHop(w bitset.Set) int {
@@ -365,32 +369,47 @@ func (e *engine) maxHop(w bitset.Set) int {
 	if r := e.n % 64; r != 0 {
 		left[len(left)-1] &= 1<<uint(r) - 1
 	}
-	if left.Empty() {
+	nLeft := left.Len()
+	if nLeft == 0 {
 		return 0
 	}
 	front.CopyFrom(w)
+	nFront := e.n - nLeft
 	g := e.in.G
 	for level := 1; ; level++ {
-		var grew, rest uint64
+		topDown := nFront < nLeft
+		if topDown {
+			next.Clear()
+			for i, x := range front {
+				for ; x != 0; x &= x - 1 {
+					next.UnionWith(g.Nbr(i*64 + bits.TrailingZeros64(x)))
+				}
+			}
+		}
+		grew := 0
 		for i, x := range left {
 			var add uint64
-			for m := x; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m)
-				if g.Nbr(i*64 + b).Intersects(front) {
-					add |= 1 << uint(b)
+			if topDown {
+				add = next[i] & x
+			} else {
+				for m := x; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					if g.Nbr(i*64 + b).Intersects(front) {
+						add |= 1 << uint(b)
+					}
 				}
 			}
 			next[i] = add
 			left[i] = x &^ add
-			grew |= add
-			rest |= x &^ add
+			grew += bits.OnesCount64(add)
 		}
 		if grew == 0 {
 			return inf // the rest is unreachable; cannot complete
 		}
-		if rest == 0 {
+		if nLeft -= grew; nLeft == 0 {
 			return level
 		}
+		nFront = grew
 		front, next = next, front
 	}
 }

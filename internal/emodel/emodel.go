@@ -6,15 +6,24 @@
 // the cycle waiting time t(u,v) (Eq. 11), estimated proactively by the mean
 // CWT a node can compute from its neighbor's seed.
 //
+// A table first classifies every edge once into per-node quadrant rows,
+// the bitsets N(u) ∩ Q_q(u), kept in one slab the table owns. Everything
+// after that reads the rows and never calls QuadrantOf again: a node seeds
+// quadrant q when its row is empty; Eq. 9's table is a top-down level BFS
+// over the opposite-quadrant rows (BuildHop); Eq. 11's is a Dijkstra over
+// the same rows (Build); and Eq. 10's score tests each row against the
+// coverage (Score).
+//
 // Algorithm 2 seeds network-edge nodes with empty quadrants in its first
 // pass and the interior local minima in its second. Here one pass is
 // Algorithm 2: quadrants are half-open 90° sectors, so a node with an
 // empty quadrant has an angular gap of at least π/2 among its neighbors
 // and is itself a network-edge node by the criterion EdgeNodes applies.
 // The first pass therefore already seeds every node the second could, and
-// Build seeds every empty-quadrant node at once without detecting edges.
-// EdgeNodes remains for callers that report or check the edge structure;
-// internal/protocol runs the paper's literal two passes against Build.
+// the builds seed every empty-quadrant node at once without detecting
+// edges. EdgeNodes remains for callers that report or check the edge
+// structure; internal/protocol runs the paper's literal two passes against
+// BuildHop and Build.
 //
 // Edge detection stands in for the paper's references [3] (convex hull) and
 // [6] (boundary construction): a node is an edge node when it lies on the
@@ -26,6 +35,7 @@ package emodel
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"mlbs/internal/bitset"
 	"mlbs/internal/dutycycle"
@@ -48,6 +58,11 @@ type Table struct {
 	// Stats for Theorem 3's O(1) update claim: how many times each node's
 	// tuple entries were settled during construction.
 	Updates []int
+	// rows holds the quadrant neighbor rows N(u) ∩ Q_q(u) in one
+	// node-major slab of words-word bitsets: row (u, q) starts at word
+	// (4u + q.Index())·words. Build and BuildHop fill it; Score reads it.
+	rows  []uint64
+	words int
 }
 
 // Value returns E_q(u).
@@ -97,6 +112,8 @@ func EdgeNodes(g *graph.Graph) []bool {
 // proactive mean CWT (Eq. 11). Every weight must be at least 1 — HopWeight
 // is 1 and every CWT is at least one slot — which lets Build skip the
 // evaluation of any edge whose relaxation cannot lower an entry.
+// BuildHop takes no Weight; Build(g, HopWeight) gives the same table by
+// Dijkstra.
 type Weight func(u, v graph.NodeID) float64
 
 // HopWeight is the synchronous weight: every hop costs one round.
@@ -118,50 +135,152 @@ func CWTWeight(s dutycycle.Schedule) Weight {
 }
 
 // New builds the E table for an instance's graph and wake schedule: hop
-// weights (Eq. 9) when wake is nil or wakes every slot, mean-CWT weights
-// (Eq. 11) otherwise. It is the one place that choice is made, and it
-// rejects coincident positions, which QuadrantOf cannot classify.
+// weights (Eq. 9, BuildHop) when wake is nil or wakes every slot,
+// mean-CWT weights (Eq. 11, Build) otherwise. It is the one place that
+// choice is made, and it rejects coincident positions, which QuadrantOf
+// cannot classify.
 func New(g *graph.Graph, wake dutycycle.Schedule) (*Table, error) {
 	if !g.DistinctPositions() {
 		return nil, ErrCoincidentPositions
 	}
-	w := HopWeight
 	if wake != nil && wake.Rate() > 1 {
-		w = CWTWeight(wake)
+		return Build(g, CWTWeight(wake)), nil
 	}
-	return Build(g, w), nil
+	return BuildHop(g), nil
 }
 
-// Build constructs the E table for graph g per Algorithm 2, seeding every
-// node with an empty quadrant at 0 (see the package comment for why one
-// pass suffices). Positions must be distinct.
+// newTable allocates a table for g and fills its quadrant rows. The E
+// entries are all zero and no update is counted yet.
+func newTable(g *graph.Graph) *Table {
+	n, words := g.N(), bitset.WordsFor(g.N())
+	t := &Table{
+		E:       make([][4]float64, n),
+		Updates: make([]int, n),
+		rows:    make([]uint64, 4*n*words),
+		words:   words,
+	}
+	t.classify(g)
+	return t
+}
+
+// classify fills the quadrant rows with one QuadrantOf call per
+// undirected edge {u, v}, u < v: v ∈ Q_q(u) exactly when u ∈ Q_{q+2}(v),
+// because QuadrantOf's half-open axis convention is antisymmetric (the
+// coordinate differences only change sign), so the one call fills both
+// rows.
+//
+//mlbs:hotpath -- runs once per E table, over every edge
+func (t *Table) classify(g *graph.Graph) {
+	pos := g.Positions()
+	for u := range t.E {
+		adj := g.Adj(u)
+		for i := len(adj) - 1; i >= 0 && adj[i] > u; i-- {
+			v := adj[i]
+			qi := geom.QuadrantOf(pos[u], pos[v]).Index()
+			t.row(u, qi).Add(v)
+			t.row(v, opposite(qi)).Add(u)
+		}
+	}
+}
+
+// opposite returns the index of the quadrant facing quadrant index qi.
+func opposite(qi int) int { return (qi + 2) & 3 }
+
+// row returns N(u) ∩ Q_qi(u) as a view into the table's slab.
+func (t *Table) row(u graph.NodeID, qi int) bitset.Set {
+	i := (4*u + qi) * t.words
+	return bitset.Set(t.rows[i : i+t.words : i+t.words])
+}
+
+// BuildHop constructs the synchronous E table (Eq. 9): every hop costs
+// one round. A node whose quadrant row is empty seeds that quadrant at 0
+// (see the package comment for why one pass suffices); every other entry
+// is its hop distance to a seed along quadrant chains, found by levelBFS.
+// The table equals Build under unit weights bit for bit, Updates included.
+// Positions must be distinct.
+func BuildHop(g *graph.Graph) *Table {
+	t := newTable(g)
+	// One allocation backs the three level sets of every quadrant.
+	sets := make([]uint64, 3*t.words)
+	left := bitset.Set(sets[:t.words])
+	front := bitset.Set(sets[t.words : 2*t.words])
+	next := bitset.Set(sets[2*t.words:])
+	for qi := range geom.Quadrants {
+		t.levelBFS(qi, left, front, next)
+	}
+	return t
+}
+
+// levelBFS fills quadrant qi of a unit-weight table top-down, one hop
+// level at a time. E_qi(u) = 1 + min E_qi(v) over v ∈ N(u)∩Q_qi(u), and
+// v ∈ Q_qi(u) exactly when u ∈ Q_{qi+2}(v), so the nodes at level l are
+// the union of the opposite-quadrant rows of level l−1, less the nodes
+// already reached. Each node is assigned once, which is the count
+// Dijkstra's first assignments give; levels are whole numbers, so the
+// values are the same float64s a Dijkstra over weight 1 sums to.
+//
+//mlbs:hotpath -- the E-model incumbent of every sync search builds one table
+func (t *Table) levelBFS(qi int, left, front, next bitset.Set) {
+	opp := opposite(qi)
+	left.Clear()
+	front.Clear()
+	for u := range t.E {
+		if t.row(u, qi).Empty() {
+			t.Updates[u]++ // E_qi(u) stays 0: u seeds the quadrant
+			front.Add(u)
+		} else {
+			t.E[u][qi] = Inf
+			left.Add(u)
+		}
+	}
+	for level := 1.0; ; level++ {
+		next.Clear()
+		for i, x := range front {
+			for ; x != 0; x &= x - 1 {
+				next.UnionWith(t.row(i*64+bits.TrailingZeros64(x), opp))
+			}
+		}
+		next.IntersectWith(left)
+		if next.Empty() {
+			return // every reachable entry is set; the rest stay ∞
+		}
+		left.DifferenceWith(next)
+		for i, x := range next {
+			for ; x != 0; x &= x - 1 {
+				u := i*64 + bits.TrailingZeros64(x)
+				t.E[u][qi] = level
+				t.Updates[u]++
+			}
+		}
+		front, next = next, front
+	}
+}
+
+// Build constructs the E table for graph g under an arbitrary weight per
+// Algorithm 2, seeding every node with an empty quadrant at 0 (see the
+// package comment for why one pass suffices). Positions must be
+// distinct. Unit weights are BuildHop's job; Build serves Eq. 11's CWT.
 //
 // Relaxation solves E_i(u) = min over v ∈ N(u)∩Q_i(u) of w(u,v) + E_i(v)
 // exactly (Dijkstra from the seeded zeros along reversed constraint edges),
 // which settles every node's entry exactly once per quadrant — the O(1)
 // information-exchange property of Theorem 3.
 func Build(g *graph.Graph, w Weight) *Table {
-	n := g.N()
-	t := &Table{
-		E:       make([][4]float64, n),
-		Updates: make([]int, n),
-	}
+	t := newTable(g)
 	// One frontier serves every quadrant: the search constructs an
 	// incumbent E-model rollout inside each OPT/G-OPT call, so Build must
 	// not allocate per node settled.
 	var frontier pq
-	var seeds []graph.NodeID
-	for qi, q := range geom.Quadrants {
-		seeds = seeds[:0]
-		for u := 0; u < n; u++ {
-			if g.HasNeighborInQuadrant(u, q) {
-				t.E[u][qi] = Inf
+	for qi := range geom.Quadrants {
+		for u := range t.E {
+			if t.row(u, qi).Empty() {
+				t.Updates[u]++ // E_qi(u) stays 0: u seeds the quadrant
+				frontier.push(pqItem{u, 0})
 			} else {
-				t.Updates[u]++ // E_q(u) stays 0: u seeds the quadrant
-				seeds = append(seeds, u)
+				t.E[u][qi] = Inf
 			}
 		}
-		relaxQuadrant(g, w, q, t, seeds, &frontier)
+		t.relaxQuadrant(w, qi, &frontier)
 	}
 	return t
 }
@@ -223,10 +342,11 @@ func (p *pq) pop() pqItem {
 	return top
 }
 
-// relaxQuadrant runs Dijkstra for quadrant q from the given zero seeds,
+// relaxQuadrant runs Dijkstra for quadrant index qi from the zero seeds
 // on the caller's frontier heap. The constraint edge u→v exists when
-// v ∈ N(u)∩Q_q(u); Dijkstra walks the reverse direction: settling v
-// improves every u that sees v in its quadrant q. An unsettled entry may
+// v ∈ N(u)∩Q_qi(u); Dijkstra walks the reverse direction: settling v
+// improves every u that sees v in its quadrant qi, which are the members
+// of v's opposite-quadrant row, read word by word. An unsettled entry may
 // still tighten (Dijkstra's decrease-key — the node has not announced its
 // value yet, so this is not a second information exchange); Updates
 // counts first assignments only.
@@ -238,11 +358,8 @@ func (p *pq) pop() pqItem {
 // heap item whose distance equals the final entry settles v exactly once;
 // every directed edge is relaxed at most once per Build and its weight
 // needs no cache.
-func relaxQuadrant(g *graph.Graph, w Weight, q geom.Quadrant, t *Table, seeds []graph.NodeID, frontier *pq) {
-	qi := q.Index()
-	for _, s := range seeds {
-		frontier.push(pqItem{s, 0})
-	}
+func (t *Table) relaxQuadrant(w Weight, qi int, frontier *pq) {
+	opp := opposite(qi)
 	for len(*frontier) > 0 {
 		it := frontier.pop()
 		v := it.node
@@ -250,37 +367,38 @@ func relaxQuadrant(g *graph.Graph, w Weight, q geom.Quadrant, t *Table, seeds []
 		if it.dist > ev {
 			continue // stale: v was pushed again with a smaller distance
 		}
-		for _, u := range g.Adj(v) {
-			eu := t.E[u][qi]
-			if eu <= ev+1 {
-				continue // E(u) is settled, or no weight ≥ 1 can lower it
-			}
-			if geom.QuadrantOf(g.Pos(u), g.Pos(v)) != q {
-				continue // v is not in u's quadrant q
-			}
-			if cand := w(u, v) + ev; cand < eu {
-				if math.IsInf(eu, 1) {
-					t.Updates[u]++
+		for i, x := range t.row(v, opp) {
+			for ; x != 0; x &= x - 1 {
+				u := i*64 + bits.TrailingZeros64(x)
+				eu := t.E[u][qi]
+				if eu <= ev+1 {
+					continue // E(u) is settled, or no weight ≥ 1 can lower it
 				}
-				t.E[u][qi] = cand
-				frontier.push(pqItem{u, cand})
+				if cand := w(u, v) + ev; cand < eu {
+					if math.IsInf(eu, 1) {
+						t.Updates[u]++
+					}
+					t.E[u][qi] = cand
+					frontier.push(pqItem{u, cand})
+				}
 			}
 		}
 	}
 }
 
 // Score evaluates Eq. 10 for a candidate u: the maximum E_k(u) over
-// quadrants k in which u still has an uncovered neighbor. Returns -1 when
-// every neighbor of u is covered. Completed tables have no ∞ entries
-// (every quadrant chain terminates at an empty-quadrant node), so the
-// result is finite in practice.
-func (t *Table) Score(g *graph.Graph, u graph.NodeID, covered bitset.Set) float64 {
+// quadrants k in which u still has an uncovered neighbor — at most four
+// row-against-coverage tests. Returns -1 when every neighbor of u is
+// covered. Completed tables have no ∞ entries (every quadrant chain
+// terminates at an empty-quadrant node), so the result is finite in
+// practice. The table must come from New, Build or BuildHop, which fill
+// the quadrant rows.
+//
+//mlbs:hotpath -- evaluated per class member at every E-model rollout step
+func (t *Table) Score(u graph.NodeID, covered bitset.Set) float64 {
 	best := -1.0
-	for _, v := range g.Adj(u) {
-		if covered.Has(v) {
-			continue
-		}
-		if e := t.E[u][geom.QuadrantOf(g.Pos(u), g.Pos(v)).Index()]; e > best {
+	for qi, e := range t.E[u] {
+		if e > best && t.row(u, qi).AnyDifference(covered) {
 			best = e
 		}
 	}

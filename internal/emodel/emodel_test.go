@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +32,7 @@ func lineGraph(n int) *graph.Graph {
 func TestLineSyncE(t *testing.T) {
 	const n = 5
 	g := lineGraph(n)
-	tab := Build(g, HopWeight)
+	tab := BuildHop(g)
 	for i := 0; i < n; i++ {
 		// Eastern neighbor (dx>0, dy=0) is in Q1; western in Q3.
 		if got := tab.Value(i, geom.Q1); got != float64(n-1-i) {
@@ -72,7 +73,7 @@ func TestEmptyQuadrantIsZeroAndConverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := Build(d.G, HopWeight)
+	tab := BuildHop(d.G)
 	for u := 0; u < d.G.N(); u++ {
 		for qi, q := range geom.Quadrants {
 			empty := len(d.G.NeighborsInQuadrant(u, q)) == 0
@@ -90,7 +91,7 @@ func TestAllEntriesFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := Build(d.G, HopWeight)
+		tab := BuildHop(d.G)
 		for u := 0; u < d.G.N(); u++ {
 			for qi := range geom.Quadrants {
 				if math.IsInf(tab.E[u][qi], 1) {
@@ -107,7 +108,7 @@ func TestBuildSatisfiesRecurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := d.G
-	tab := Build(g, HopWeight)
+	tab := BuildHop(g)
 	for u := 0; u < g.N(); u++ {
 		for qi, q := range geom.Quadrants {
 			nbrs := g.NeighborsInQuadrant(u, q)
@@ -137,7 +138,7 @@ func TestTheorem3UpdateCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := Build(d.G, HopWeight)
+	tab := BuildHop(d.G)
 	for u, c := range tab.Updates {
 		if c != 4 {
 			t.Fatalf("node %d settled %d entries, want exactly 4 (one per quadrant)", u, c)
@@ -163,23 +164,23 @@ func TestAsyncWeightsAreCWT(t *testing.T) {
 
 func TestScore(t *testing.T) {
 	g := lineGraph(4)
-	tab := Build(g, HopWeight)
+	tab := BuildHop(g)
 	covered := bitset.New(4)
 	covered.Add(0)
 	covered.Add(1)
 	// Node 1's only uncovered neighbor is 2, east (Q1): E1(1) = 2.
-	if got := tab.Score(g, 1, covered); got != 2 {
+	if got := tab.Score(1, covered); got != 2 {
 		t.Fatalf("Score(1) = %v, want 2", got)
 	}
 	// Node 0 has no uncovered neighbors.
-	if got := tab.Score(g, 0, covered); got != -1 {
+	if got := tab.Score(0, covered); got != -1 {
 		t.Fatalf("Score(0) = %v, want -1", got)
 	}
 }
 
 func TestMaxFinite(t *testing.T) {
 	g := lineGraph(6)
-	tab := Build(g, HopWeight)
+	tab := BuildHop(g)
 	if got := tab.MaxFinite(); got != 5 {
 		t.Fatalf("MaxFinite = %v, want 5", got)
 	}
@@ -194,7 +195,7 @@ func TestQuickBuildInvariants(t *testing.T) {
 		if err != nil {
 			return true // rare disconnected-only seeds are not the property under test
 		}
-		tab := Build(d.G, HopWeight)
+		tab := BuildHop(d.G)
 		for u := 0; u < d.G.N(); u++ {
 			for qi, q := range geom.Quadrants {
 				if math.IsInf(tab.E[u][qi], 1) {
@@ -235,7 +236,7 @@ func BenchmarkBuildSync300(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Build(d.G, HopWeight)
+		_ = BuildHop(d.G)
 	}
 }
 
@@ -319,13 +320,14 @@ func buildDigest(g *graph.Graph, tab *Table) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestBuildTableGolden pins Build bit for bit — every E entry, Theorem 3's
-// update counts and the edge flags — on paper deployments, synchronous and
-// at four duty-cycle rates. The digests were recorded from the two-pass
-// build with its per-edge weight cache, uint16 offset rows and edge flags
-// stored in the table; the one-pass build, the plane-sliced table and the
-// lazy relaxation reproduce them exactly, with EdgeNodes hashed in place
-// of the stored flags.
+// TestBuildTableGolden pins BuildHop (synchronous) and Build (four
+// duty-cycle rates) bit for bit — every E entry, Theorem 3's update counts
+// and the edge flags — on paper deployments. The digests were recorded
+// from the two-pass Dijkstra build with its per-edge weight cache, uint16
+// offset rows and edge flags stored in the table; the one-pass build, the
+// plane-sliced table, the lazy relaxation and the quadrant rows with the
+// level BFS reproduce them exactly, with EdgeNodes hashed in place of the
+// stored flags.
 func TestBuildTableGolden(t *testing.T) {
 	want := map[string]string{
 		"n100/sync": "c75e615ab96257bf1ce3e6cffa00e2a35e29f700808acf553b5a50b2c67847f4",
@@ -345,12 +347,12 @@ func TestBuildTableGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []int{1, 2, 10, 50, 300} {
-			w, wname := HopWeight, "sync"
+			tab, wname := BuildHop(d.G), "sync"
 			if r > 1 {
-				w, wname = CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0)), fmt.Sprintf("r%d", r)
+				tab, wname = Build(d.G, CWTWeight(dutycycle.NewUniform(n, r, 1^0xA5, 0))), fmt.Sprintf("r%d", r)
 			}
 			name := fmt.Sprintf("n%d/%s", n, wname)
-			if got := buildDigest(d.G, Build(d.G, w)); got != want[name] {
+			if got := buildDigest(d.G, tab); got != want[name] {
 				t.Errorf("%s: digest %s, want %s", name, got, want[name])
 			}
 		}
@@ -414,7 +416,7 @@ func TestEmptyQuadrantIsEdgeNode(t *testing.T) {
 		empties := 0
 		for u := 0; u < g.N(); u++ {
 			for _, q := range geom.Quadrants {
-				if g.HasNeighborInQuadrant(u, q) {
+				if len(g.NeighborsInQuadrant(u, q)) > 0 {
 					continue
 				}
 				empties++
@@ -469,7 +471,7 @@ func TestEmptyQuadrantIsEdgeNode(t *testing.T) {
 // error for coincident positions.
 func TestNew(t *testing.T) {
 	g := lineGraph(5)
-	hop := Build(g, HopWeight)
+	hop := BuildHop(g)
 	for _, wake := range []dutycycle.Schedule{nil, dutycycle.AlwaysAwake{Nodes: 5}} {
 		tab, err := New(g, wake)
 		if err != nil {
@@ -490,5 +492,148 @@ func TestNew(t *testing.T) {
 	coincident := graph.FromUDG([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 0}}, 1)
 	if _, err := New(coincident, nil); !errors.Is(err, ErrCoincidentPositions) {
 		t.Fatalf("coincident positions: err = %v, want ErrCoincidentPositions", err)
+	}
+}
+
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// rowGraphs returns the graphs the quadrant-row tests run on: paper
+// deployments, random deployments, and integer grids whose neighbors sit
+// exactly on the axes (radius 1) or on axes and diagonals (radius 1.5),
+// where QuadrantOf's half-open boundaries decide every edge.
+func rowGraphs(t *testing.T) []namedGraph {
+	t.Helper()
+	var out []namedGraph
+	for _, n := range []int{60, 150, 300} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			d, err := topology.Generate(topology.PaperConfig(n), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, namedGraph{fmt.Sprintf("paper n=%d seed=%d", n, seed), d.G})
+		}
+	}
+	src := rng.New(27)
+	for i := 0; i < 6; i++ {
+		pos := make([]geom.Point, 40+src.Intn(90))
+		for j := range pos {
+			pos[j] = geom.Point{X: src.InRange(0, 40), Y: src.InRange(0, 40)}
+		}
+		out = append(out, namedGraph{fmt.Sprintf("random %d n=%d", i, len(pos)), graph.FromUDG(pos, 10)})
+	}
+	for _, k := range []int{1, 2, 5, 9} {
+		for _, radius := range []float64{1, 1.5} {
+			pos := make([]geom.Point, 0, k*k)
+			for y := 0; y < k; y++ {
+				for x := 0; x < k; x++ {
+					pos = append(pos, geom.Point{X: float64(x - k/2), Y: float64(y - k/2)})
+				}
+			}
+			out = append(out, namedGraph{fmt.Sprintf("grid k=%d r=%g", k, radius), graph.FromUDG(pos, radius)})
+		}
+	}
+	return out
+}
+
+// TestQuadrantRows checks the classifier: a node's four rows partition
+// N(u), each equals NeighborsInQuadrant(u, q), and v ∈ Q_q(u) exactly when
+// u ∈ Q_{q+2}(v) — the symmetry that lets one QuadrantOf call per edge
+// fill both rows.
+func TestQuadrantRows(t *testing.T) {
+	for _, c := range rowGraphs(t) {
+		name, g := c.name, c.g
+		tab := BuildHop(g)
+		for u := 0; u < g.N(); u++ {
+			union := bitset.New(g.N())
+			total := 0
+			for qi, q := range geom.Quadrants {
+				row := tab.row(u, qi)
+				if got, want := row.Members(), g.NeighborsInQuadrant(u, q); !slices.Equal(got, want) {
+					t.Fatalf("%s: node %d %v row %v, NeighborsInQuadrant %v", name, u, q, got, want)
+				}
+				union.UnionWith(row)
+				total += row.Len()
+				for _, v := range row.Members() {
+					if !tab.row(v, opposite(qi)).Has(u) {
+						t.Fatalf("%s: %d ∈ Q%d(%d) but %d ∉ Q%d(%d)", name, v, qi+1, u, u, opposite(qi)+1, v)
+					}
+				}
+			}
+			if !union.Equal(g.Nbr(u)) || total != g.Degree(u) {
+				t.Fatalf("%s: node %d rows cover %v (%d entries), N(u) = %v", name, u, union, total, g.Nbr(u))
+			}
+		}
+	}
+}
+
+// TestBuildHopMatchesDijkstra pins the level BFS to the Dijkstra it
+// replaces for unit weights: Build under HopWeight gives the same E bits
+// and Theorem 3 update counts on paper and random deployments and on
+// grids.
+func TestBuildHopMatchesDijkstra(t *testing.T) {
+	for _, c := range rowGraphs(t) {
+		name, g := c.name, c.g
+		got, want := BuildHop(g), Build(g, HopWeight)
+		if !slices.Equal(got.Updates, want.Updates) {
+			t.Fatalf("%s: level BFS updates %v, Dijkstra %v", name, got.Updates, want.Updates)
+		}
+		for u := range want.E {
+			for qi, e := range want.E[u] {
+				if math.Float64bits(got.E[u][qi]) != math.Float64bits(e) {
+					t.Fatalf("%s: E[%d][%d] = %v by level BFS, %v by Dijkstra", name, u, qi, got.E[u][qi], e)
+				}
+			}
+		}
+	}
+}
+
+// refScore is Eq. 10 the long way, the per-neighbor loop Score replaced:
+// the largest E_k(u) over the quadrants of u's uncovered neighbors, -1
+// when there are none.
+func refScore(g *graph.Graph, tab *Table, u graph.NodeID, covered bitset.Set) float64 {
+	best := -1.0
+	for _, v := range g.Adj(u) {
+		if covered.Has(v) {
+			continue
+		}
+		if e := tab.E[u][geom.QuadrantOf(g.Pos(u), g.Pos(v)).Index()]; e > best {
+			best = e
+		}
+	}
+	return best
+}
+
+// TestScoreMatchesNeighborLoop checks Score's row tests against the
+// per-neighbor loop for every node under random coverage, empty to full,
+// on hop and CWT tables.
+func TestScoreMatchesNeighborLoop(t *testing.T) {
+	src := rng.New(41)
+	checked := 0
+	for _, c := range rowGraphs(t) {
+		name, g := c.name, c.g
+		n := g.N()
+		tabs := []*Table{BuildHop(g), Build(g, CWTWeight(dutycycle.NewUniform(n, 10, src.Uint64(), 0)))}
+		for _, p := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			covered := bitset.New(n)
+			for v := 0; v < n; v++ {
+				if src.Float64() < p {
+					covered.Add(v)
+				}
+			}
+			for _, tab := range tabs {
+				for u := 0; u < n; u++ {
+					if got, want := tab.Score(u, covered), refScore(g, tab, u, covered); got != want {
+						t.Fatalf("%s p=%g: Score(%d) = %v, neighbor loop %v", name, p, u, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no score checked")
 	}
 }

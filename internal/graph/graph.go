@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"mlbs/internal/bitset"
 	"mlbs/internal/geom"
@@ -25,7 +26,18 @@ type Graph struct {
 	nbr    []bitset.Set // nbr[u] = bitset of N(u); u ∉ nbr[u]
 	radius float64      // communication radius when built as a UDG, else 0
 	edges  int
+	// conn memoizes Connected: connUnknown until the first call. The
+	// graph is immutable, so concurrent first callers compute the same
+	// answer and storing it twice is harmless.
+	conn atomic.Uint32
 }
+
+// Connected's memo states.
+const (
+	connUnknown uint32 = iota
+	connYes
+	connNo
+)
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
 type Builder struct {
@@ -356,12 +368,26 @@ func (g *Graph) Eccentricity(s NodeID) (ecc int, connected bool) {
 	return ecc, connected
 }
 
-// Connected reports whether the graph is connected (true for n ≤ 1).
+// Connected reports whether the graph is connected (true for n ≤ 1). The
+// first call runs one BFS and later calls read the memo, so topology
+// generation and instance validation share one traversal; it is safe for
+// concurrent callers.
 func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
+	switch g.conn.Load() {
+	case connYes:
 		return true
+	case connNo:
+		return false
 	}
-	_, ok := g.Eccentricity(0)
+	ok := true
+	if g.N() > 1 {
+		_, ok = g.Eccentricity(0)
+	}
+	if ok {
+		g.conn.Store(connYes)
+	} else {
+		g.conn.Store(connNo)
+	}
 	return ok
 }
 
@@ -463,17 +489,6 @@ func (g *Graph) NeighborsInQuadrant(u NodeID, q geom.Quadrant) []NodeID {
 		}
 	}
 	return out
-}
-
-// HasNeighborInQuadrant reports whether u has any neighbor in quadrant q —
-// the empty-quadrant test of Algorithm 2 without materializing the list.
-func (g *Graph) HasNeighborInQuadrant(u NodeID, q geom.Quadrant) bool {
-	for _, v := range g.adj[u] {
-		if geom.QuadrantOf(g.pos[u], g.pos[v]) == q {
-			return true
-		}
-	}
-	return false
 }
 
 // String summarizes the graph for debugging.

@@ -190,6 +190,51 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
+// TestConnectedMemo checks the memoized Connected against a fresh BFS
+// (one component, or n ≤ 1) on connected and disconnected graphs of
+// every small size, abstract and unit-disk, with the first call made by
+// several goroutines at once so -race sees the memo's publication. Every
+// caller, first or later, must read the BFS answer.
+func TestConnectedMemo(t *testing.T) {
+	r := rng.New(31)
+	var graphs []*Graph
+	for n := 0; n <= 5; n++ {
+		graphs = append(graphs, NewBuilder(n, nil).Build(), pathGraph(n))
+	}
+	graphs = append(graphs,
+		NewBuilder(4, nil).AddEdge(0, 1).AddEdge(2, 3).Build(),
+		NewBuilder(3, nil).AddEdge(1, 2).Build(),
+		&Graph{})
+	for _, side := range []float64{20, 60, 200} {
+		pos := make([]geom.Point, 70)
+		for i := range pos {
+			pos[i] = geom.Point{X: r.InRange(0, side), Y: r.InRange(0, side)}
+		}
+		graphs = append(graphs, FromUDG(pos, 10))
+	}
+	seen := map[bool]int{}
+	for gi, g := range graphs {
+		want := g.N() <= 1 || len(g.Components()) == 1
+		seen[want]++
+		const callers = 4
+		got := make(chan bool, callers)
+		for i := 0; i < callers; i++ {
+			go func() { got <- g.Connected() }()
+		}
+		for i := 0; i < callers; i++ {
+			if c := <-got; c != want {
+				t.Fatalf("graph %d (n=%d): concurrent Connected = %v, BFS says %v", gi, g.N(), c, want)
+			}
+		}
+		if c := g.Connected(); c != want {
+			t.Fatalf("graph %d (n=%d): memoized Connected = %v, BFS says %v", gi, g.N(), c, want)
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("cases cover connected=%d disconnected=%d graphs; want both", seen[true], seen[false])
+	}
+}
+
 func TestComponents(t *testing.T) {
 	g := NewBuilder(6, nil).AddEdge(0, 1).AddEdge(1, 2).AddEdge(4, 5).Build()
 	comps := g.Components()

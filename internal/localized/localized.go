@@ -66,7 +66,7 @@ func Policy(in core.Instance, tab *emodel.Table) sim.PolicyFunc {
 			if recv == 0 {
 				return
 			}
-			cands[u] = cand{recv: recv, score: tab.Score(g, u, w)}
+			cands[u] = cand{recv: recv, score: tab.Score(u, w)}
 		})
 		var senders []graph.NodeID
 		for u, cu := range cands {

@@ -78,7 +78,7 @@ func TestFigure2AdjacencyExact(t *testing.T) {
 // Section IV-E's worked E-model values on Figure 1.
 func TestFigure1E2Values(t *testing.T) {
 	g, _ := Figure1()
-	tab := emodel.Build(g, emodel.HopWeight)
+	tab := emodel.BuildHop(g)
 	for node, want := range Figure1E2Want() {
 		if got := tab.Value(node, 2); got != want { // geom.Q2
 			t.Errorf("E2(paper %d) = %v, want %v", node-1, got, want)

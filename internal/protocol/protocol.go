@@ -15,9 +15,10 @@
 //     message by message.
 //
 // The protocol keeps the paper's two passes literally — edge nodes first,
-// interior local minima second — while the centralized emodel.Build seeds
-// every empty-quadrant node in one pass. The tests assert the two tables
-// are bit-identical, so the protocol is the independent check on that
+// interior local minima second — while the centralized emodel.New seeds
+// every empty-quadrant node in one pass (a level BFS for hop weights, a
+// Dijkstra for CWT weights). The tests assert the two tables are
+// bit-identical, so the protocol is the independent check on that
 // shortcut; the package also demonstrates (and counts) the communication
 // the paper argues is O(1) per node.
 package protocol

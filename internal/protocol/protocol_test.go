@@ -66,11 +66,19 @@ func TestDiscoverSeedsConsistent(t *testing.T) {
 }
 
 // assertSameE fails unless the protocol's literal two-pass table equals
-// the centralized one-pass table bit for bit, Theorem 3's update counts
-// included.
-func assertSameE(t *testing.T, name string, g *graph.Graph, w emodel.Weight) {
+// the centralized one-pass table emodel.New builds for the same wake
+// schedule (nil for the synchronous system) bit for bit, Theorem 3's
+// update counts included.
+func assertSameE(t *testing.T, name string, g *graph.Graph, wake dutycycle.Schedule) {
 	t.Helper()
-	want := emodel.Build(g, w)
+	want, err := emodel.New(g, wake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := emodel.HopWeight
+	if wake != nil {
+		w = emodel.CWTWeight(wake)
+	}
 	got, err := BuildE(g, w)
 	if err != nil {
 		t.Fatal(err)
@@ -95,13 +103,13 @@ func TestBuildEMatchesCentralizedSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameE(t, fmt.Sprintf("n=120 seed %d", seed), d.G, emodel.HopWeight)
+		assertSameE(t, fmt.Sprintf("n=120 seed %d", seed), d.G, nil)
 	}
 	d, err := topology.Generate(topology.PaperConfig(300), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameE(t, "n=300", d.G, emodel.HopWeight)
+	assertSameE(t, "n=300", d.G, nil)
 }
 
 func TestBuildEMatchesCentralizedAsync(t *testing.T) {
@@ -109,7 +117,7 @@ func TestBuildEMatchesCentralizedAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameE(t, "r=10", d.G, emodel.CWTWeight(dutycycle.NewUniform(d.G.N(), 10, 4, 8)))
+	assertSameE(t, "r=10", d.G, dutycycle.NewUniform(d.G.N(), 10, 4, 8))
 	for _, r := range []int{2, 50} {
 		for _, n := range []int{80, 150} {
 			d, err := topology.Generate(topology.PaperConfig(n), uint64(r))
@@ -117,7 +125,7 @@ func TestBuildEMatchesCentralizedAsync(t *testing.T) {
 				t.Fatal(err)
 			}
 			wake := dutycycle.NewUniform(n, r, uint64(n)^0xA5, 0)
-			assertSameE(t, fmt.Sprintf("n=%d r=%d", n, r), d.G, emodel.CWTWeight(wake))
+			assertSameE(t, fmt.Sprintf("n=%d r=%d", n, r), d.G, wake)
 		}
 	}
 }
@@ -173,7 +181,7 @@ func TestQuickProtocolMatchesCentralized(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		want := emodel.Build(d.G, emodel.HopWeight)
+		want := emodel.BuildHop(d.G)
 		got, err := BuildE(d.G, emodel.HopWeight)
 		if err != nil {
 			return false
