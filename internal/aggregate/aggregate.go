@@ -1,27 +1,25 @@
-// Package aggregate schedules conflict-aware minimum-latency convergecast:
-// the dual of the paper's broadcast problem. Every node holds one reading;
+// Package aggregate schedules conflict-aware minimum-latency convergecast,
+// the dual of the paper's broadcast problem: every node holds one reading,
 // readings flow UP a routing tree toward the sink, merging at each parent,
 // and the schedule ends when the sink holds all of them. Where broadcast
-// packs senders into coverage-maximizing conflict-free color classes,
-// aggregation packs them into *receiver-safe* sender-disjoint classes: a
-// sender set is admissible on one (slot, channel) iff every sender's
-// parent decodes exactly that sender under the instance's interference
-// oracle (graph or SINR — both via interference.Oracle.Outcome, so capture
-// can rescue a class the protocol model would reject).
+// packs senders into coverage-maximizing conflict-free classes,
+// aggregation packs them into receiver-safe bundles: on one (slot,
+// channel) every sender's parent decodes exactly that sender under the
+// instance's interference oracle (graph or SINR, via Oracle.Outcome, so
+// capture can rescue a bundle the protocol model rejects). Wake semantics
+// invert too: the duty cycle gates the receiver, so a child fires only in
+// a slot where its parent listens. Instance.Source is read as the sink,
+// Channels as the bundle width K, Wake as the listen schedule.
 //
-// Wake semantics invert too. In broadcast the duty cycle gates the
-// *transmitter* (a sleeping node may not send; neighbors of a sender are
-// covered regardless of their own wake state). In aggregation the gated
-// party is the *receiver*: a child may fire only in a slot where its
-// parent is awake to listen. This is the exact dual and keeps the two
-// workloads on the same dutycycle.Schedule.
-//
-// The same Instance type drives both workloads: Instance.Source is read as
-// the sink, Channels as the bundle width K, Wake as the listen schedule.
+// SlotWalker is the one copy of the per-slot rules; Schedule.Validate
+// (strict, whole bundles) and the greedy Scheduler (one sender at a time)
+// are policies over it, and sim.ReplayAggregate is the independent
+// referee.
 package aggregate
 
 import (
 	"fmt"
+	"slices"
 
 	"mlbs/internal/bitset"
 	"mlbs/internal/core"
@@ -77,11 +75,10 @@ type Result struct {
 
 // Validate checks s against in and returns nil iff the schedule is a
 // correct convergecast plan: the parent array is a spanning tree oriented
-// at the sink over real edges, every non-sink node transmits exactly once
-// and only after all its children have, parents are awake to receive,
-// each parent receives on at most one channel per slot, and every
-// (slot, channel) bundle is receiver-safe under the instance's
-// interference oracle.
+// at the sink over real edges, each slot carries at most K advances on
+// strictly ascending channels in [0,K), every advance has senders and is
+// a legal firing under SlotWalker's rules, and every non-sink node
+// transmits. The recorded channel is checked before the walker's rules.
 func (s *Schedule) Validate(in core.Instance) error {
 	if err := in.Validate(); err != nil {
 		return err
@@ -89,7 +86,6 @@ func (s *Schedule) Validate(in core.Instance) error {
 	if len(in.PreCovered) != 0 {
 		return fmt.Errorf("aggregate: PreCovered is a broadcast-only input")
 	}
-	n := in.G.N()
 	if s.Sink != in.Source {
 		return fmt.Errorf("aggregate: schedule sink %d, instance sink %d", s.Sink, in.Source)
 	}
@@ -101,37 +97,23 @@ func (s *Schedule) Validate(in core.Instance) error {
 	}
 
 	k := in.K()
-	var ib interference.Binder
-	oracle := in.Oracle(&ib)
-
-	// children[u] = number of tree children still to transmit before u may.
-	pending := make([]int, n)
-	for u := 0; u < n; u++ {
-		if graph.NodeID(u) != s.Sink {
-			pending[s.Parent[u]]++
-		}
-	}
-
-	done := bitset.New(n) // nodes whose transmission is complete (strictly earlier slot)
-	transmitted := 0
-	prevT := s.Start - 1
+	var sw SlotWalker
+	sw.Reset(in, s.Parent)
 	advs := s.Advances
 	for gi := 0; gi < len(advs); {
 		t := advs[gi].T
-		if t <= prevT {
-			return fmt.Errorf("aggregate: advance at t=%d not after t=%d", t, prevT)
+		if err := sw.Begin(t); err != nil {
+			return err
 		}
 		end := gi
 		for end < len(advs) && advs[end].T == t {
 			end++
 		}
-		group := advs[gi:end]
-		if len(group) > k {
-			return fmt.Errorf("aggregate: %d advances in slot %d exceed %d channels", len(group), t, k)
+		if end-gi > k {
+			return fmt.Errorf("aggregate: %d advances in slot %d exceed %d channels", end-gi, t, k)
 		}
 		prevCh := -1
-		slotParents := bitset.New(n) // parents already receiving this slot (any channel)
-		for _, adv := range group {
+		for _, adv := range advs[gi:end] {
 			if adv.Channel <= prevCh {
 				return fmt.Errorf("aggregate: t=%d channel %d not above %d", t, adv.Channel, prevCh)
 			}
@@ -142,52 +124,189 @@ func (s *Schedule) Validate(in core.Instance) error {
 			if len(adv.Senders) == 0 {
 				return fmt.Errorf("aggregate: empty sender set at t=%d ch=%d", t, adv.Channel)
 			}
-			for _, u := range adv.Senders {
-				if u < 0 || int(u) >= n {
-					return fmt.Errorf("aggregate: sender %d out of range at t=%d", u, t)
-				}
-				if u == s.Sink {
-					return fmt.Errorf("aggregate: sink %d transmits at t=%d", u, t)
-				}
-				if done.Has(int(u)) {
-					return fmt.Errorf("aggregate: node %d transmits twice (again at t=%d)", u, t)
-				}
-				if pending[u] != 0 {
-					return fmt.Errorf("aggregate: node %d transmits at t=%d with %d children still pending", u, t, pending[u])
-				}
-				p := s.Parent[u]
-				if !in.Wake.Awake(int(p), t) {
-					return fmt.Errorf("aggregate: parent %d of sender %d asleep at t=%d", p, u, t)
-				}
-				if slotParents.Has(int(p)) {
-					return fmt.Errorf("aggregate: parent %d receives twice in slot %d (one radio)", p, t)
-				}
-				slotParents.Add(int(p))
-			}
-			for _, u := range adv.Senders {
-				got, ok := oracle.Outcome(s.Parent[u], adv.Senders)
-				if !ok || got != u {
-					return fmt.Errorf("aggregate: t=%d ch=%d parent %d does not decode child %d (senders %v)",
-						t, adv.Channel, s.Parent[u], u, adv.Senders)
-				}
+			if err := sw.Fire(adv.Channel, adv.Senders); err != nil {
+				return err
 			}
 		}
-		// Commit the slot: same-slot senders never count as "done" for each
-		// other above, so precedence is strict.
-		for _, adv := range group {
-			for _, u := range adv.Senders {
-				done.Add(int(u))
-				pending[s.Parent[u]]--
-				transmitted++
-			}
-		}
-		prevT = t
+		sw.End()
 		gi = end
 	}
-	if transmitted != n-1 {
-		return fmt.Errorf("aggregate: %d of %d non-sink nodes transmitted", transmitted, n-1)
+	if sent, n := sw.Sent(), in.G.N(); sent != n-1 {
+		return fmt.Errorf("aggregate: %d of %d non-sink nodes transmitted", sent, n-1)
 	}
 	return nil
+}
+
+// SlotWalker applies convergecast's per-slot rules one slot at a time:
+// slots strictly increase; a sender is a node other than the sink that
+// has not transmitted and whose children all have, in earlier slots; its
+// parent is awake and receives no other child this slot on any channel
+// (one radio); and in each bundle every sender's parent decodes exactly
+// that sender under the instance's interference oracle.
+//
+// A walk is Reset, then per slot Begin, any number of Fire or Join calls,
+// and End to commit the slot's senders; a slot given up without End
+// commits nothing. A warm walker allocates nothing, rejections included:
+// the error a call returns is owned by the walker and holds until its
+// next failing call. A SlotWalker is not safe for concurrent use.
+type SlotWalker struct {
+	in      core.Instance
+	ib      interference.Binder
+	oracle  interference.Oracle
+	parent  []graph.NodeID
+	pending []int          // children not yet committed, per node
+	done    bitset.Set     // senders of the committed slots
+	slotRx  bitset.Set     // parents receiving in the open slot
+	fired   []graph.NodeID // senders fired in the open slot
+	ready   []graph.NodeID // the latest Reset or End result
+	probe   []graph.NodeID // Admits' scratch bundle
+	prev, t int            // last committed slot; open slot
+	err     core.RuleError
+}
+
+// Reset starts a walk of in over parent, a spanning tree oriented at
+// in.Source, and returns the nodes without children, ascending; the slice
+// aliases the walker until the next Reset or End.
+func (sw *SlotWalker) Reset(in core.Instance, parent []graph.NodeID) []graph.NodeID {
+	n := in.G.N()
+	if len(sw.done) != bitset.WordsFor(n) {
+		sw.done, sw.slotRx = bitset.New(n), bitset.New(n)
+	}
+	sw.pending = slices.Grow(sw.pending[:0], n)[:n]
+	clear(sw.pending)
+	for u, p := range parent {
+		if u != in.Source {
+			sw.pending[p]++
+		}
+	}
+	sw.ready = sw.ready[:0]
+	for u, c := range sw.pending {
+		if c == 0 && u != in.Source {
+			sw.ready = append(sw.ready, u)
+		}
+	}
+	sw.done.Clear()
+	sw.in, sw.parent, sw.oracle = in, parent, in.Oracle(&sw.ib)
+	sw.prev = in.Start - 1
+	return sw.ready
+}
+
+// Sent returns the number of transmissions the committed slots carry.
+func (sw *SlotWalker) Sent() int { return sw.done.Len() }
+
+// Begin opens slot t, which must come after the last committed slot.
+//
+//mlbs:hotpath -- runs every scheduled and validated slot
+func (sw *SlotWalker) Begin(t int) error {
+	if t <= sw.prev {
+		return sw.err.Set(nil, "aggregate: advance at t=%d not after t=%d", t, sw.prev)
+	}
+	sw.t, sw.fired = t, sw.fired[:0]
+	sw.slotRx.Clear()
+	return nil
+}
+
+// MaySend reports whether u may still send in the open slot.
+func (sw *SlotWalker) MaySend(u graph.NodeID) bool { return sw.sender(u) == nil }
+
+// sender applies the sender rules to u in the open slot.
+//
+//mlbs:hotpath -- every candidate and every fired sender
+func (sw *SlotWalker) sender(u graph.NodeID) error {
+	switch {
+	case u < 0 || u >= len(sw.pending):
+		return sw.err.Set(nil, "aggregate: sender %d out of range at t=%d", u, sw.t)
+	case u == sw.in.Source:
+		return sw.err.Set(nil, "aggregate: sink %d transmits at t=%d", u, sw.t)
+	case sw.done.Has(u):
+		return sw.err.Set(nil, "aggregate: node %d transmits twice (again at t=%d)", u, sw.t)
+	case sw.pending[u] != 0:
+		return sw.err.Set(nil, "aggregate: node %d transmits at t=%d with %d children still pending", u, sw.t, sw.pending[u])
+	case !sw.in.Wake.Awake(sw.parent[u], sw.t):
+		return sw.err.Set(nil, "aggregate: parent %d of sender %d asleep at t=%d", sw.parent[u], u, sw.t)
+	case sw.slotRx.Has(sw.parent[u]):
+		return sw.err.Set(nil, "aggregate: parent %d receives twice in slot %d (one radio)", sw.parent[u], sw.t)
+	}
+	return nil
+}
+
+// Admits reports whether bundle ∪ {u} is receiver-safe, committing
+// nothing. Bundles are kept ascending because SINR's strongest-sender
+// tie-break reads sender order; capture can admit sets the protocol model
+// rejects and vice versa, so every member is re-checked.
+//
+//mlbs:hotpath -- the greedy probes every eligible node per channel
+func (sw *SlotWalker) Admits(bundle []graph.NodeID, u graph.NodeID) bool {
+	i, _ := slices.BinarySearch(bundle, u)
+	sw.probe = slices.Insert(append(sw.probe[:0], bundle...), i, u)
+	return sw.undecoded(sw.probe) < 0
+}
+
+// Join is Fire for a policy that grows its bundles one sender at a time:
+// when u may send and Admits(bundle, u), u claims its parent's radio and
+// Join returns bundle ∪ {u} in bundle's storage; otherwise it returns
+// bundle and false.
+//
+//mlbs:hotpath -- the greedy scheduler's fire path
+func (sw *SlotWalker) Join(bundle []graph.NodeID, u graph.NodeID) ([]graph.NodeID, bool) {
+	if sw.sender(u) != nil || !sw.Admits(bundle, u) {
+		return bundle, false
+	}
+	sw.slotRx.Add(sw.parent[u])
+	sw.fired = append(sw.fired, u)
+	return append(bundle[:0], sw.probe...), true
+}
+
+// Fire fires senders as one bundle of the open slot; ch only labels the
+// error, channel order and range being the policy's. Each sender passes
+// the sender rules and claims its parent's radio, and the bundle must be
+// receiver-safe.
+//
+//mlbs:hotpath -- every scheduled and validated bundle
+func (sw *SlotWalker) Fire(ch int, senders []graph.NodeID) error {
+	for _, u := range senders {
+		if err := sw.sender(u); err != nil {
+			return err
+		}
+		sw.slotRx.Add(sw.parent[u])
+	}
+	if u := sw.undecoded(senders); u >= 0 {
+		return sw.err.Set(senders, "aggregate: t=%d ch=%d parent %d does not decode child %d (senders %v)", sw.t, ch, sw.parent[u], u)
+	}
+	sw.fired = append(sw.fired, senders...)
+	return nil
+}
+
+// undecoded returns the first sender its parent does not decode under the
+// whole bundle, or −1.
+//
+//mlbs:hotpath -- the receiver-safety check of every probe and bundle
+func (sw *SlotWalker) undecoded(senders []graph.NodeID) graph.NodeID {
+	for _, u := range senders {
+		if got, ok := sw.oracle.Outcome(sw.parent[u], senders); !ok || got != u {
+			return u
+		}
+	}
+	return -1
+}
+
+// End commits the open slot's senders and returns the parents whose last
+// child they were; the slice aliases the walker until the next Reset or
+// End. Same-slot senders never count as committed for each other, so
+// precedence is strict.
+//
+//mlbs:hotpath -- runs every scheduled and validated slot
+func (sw *SlotWalker) End() []graph.NodeID {
+	sw.ready = sw.ready[:0]
+	for _, u := range sw.fired {
+		sw.done.Add(u)
+		p := sw.parent[u]
+		if sw.pending[p]--; sw.pending[p] == 0 && p != sw.in.Source {
+			sw.ready = append(sw.ready, p)
+		}
+	}
+	sw.prev = sw.t
+	return sw.ready
 }
 
 // checkTree verifies parent is a spanning tree of g oriented at sink:

@@ -191,6 +191,21 @@ func TestScheduleSINR(t *testing.T) {
 	}
 }
 
+// TestScheduleStrandedLink: a noise floor above every link's received
+// power strands the whole tree, so once a ready node's parent listens the
+// scheduler must name the first stranded link instead of retrying forever.
+// Node 1 sleeps at odd slots, so the leaf 2 first waits a slot.
+func TestScheduleStrandedLink(t *testing.T) {
+	wake := dutycycle.NewFixed(2, 1, [][]int{{0, 1}, {0}, {0, 1}})
+	in := core.Async(line(3), 0, wake, 1)
+	in.SINR = &interference.SINRParams{Alpha: 2, Beta: 1, Noise: 2}
+	var s Scheduler
+	_, err := s.Schedule(in)
+	if err == nil || err.Error() != "aggregate: node 2 cannot decode at parent 1 under sinr" {
+		t.Fatalf("err = %v, want node 2 stranded at parent 1", err)
+	}
+}
+
 func TestScheduleBoundedTree(t *testing.T) {
 	d, err := topology.Generate(topology.PaperConfig(60), 2)
 	if err != nil {

@@ -2,12 +2,10 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"mlbs/internal/bitset"
 	"mlbs/internal/core"
 	"mlbs/internal/graph"
-	"mlbs/internal/interference"
 )
 
 // Tree selects the routing-tree construction strategy.
@@ -34,15 +32,9 @@ type Scheduler struct {
 	// DefaultMaxChildren.
 	MaxChildren int
 
-	ib       interference.Binder
-	pending  []int
-	depth    []int
-	ready    []graph.NodeID
-	eligible []graph.NodeID
-	groups   [][]graph.NodeID
-	taken    bitset.Set
-	done     bitset.Set
-	probe    []graph.NodeID
+	walk   SlotWalker
+	ready  []graph.NodeID
+	groups [][]graph.NodeID
 }
 
 // Name returns the strategy label recorded in Result.Scheduler.
@@ -57,7 +49,8 @@ func (s *Scheduler) Name() string {
 // Bottom-up greedy: at each slot, ready nodes (all children transmitted,
 // parent awake to receive) are packed into ≤K receiver-safe channel
 // bundles, deepest-first so the longest root-ward chains drain earliest.
-// Deterministic for a fixed instance.
+// The slot's rules are the SlotWalker's. Deterministic for a fixed
+// instance.
 func (s *Scheduler) Schedule(in core.Instance) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -83,173 +76,62 @@ func (s *Scheduler) Schedule(in core.Instance) (*Result, error) {
 	}
 
 	k := in.K()
-	oracle := in.Oracle(&s.ib)
-	s.grow(n, k)
-	pending, depth := s.pending[:n], s.depth[:n]
-	for u := range pending {
-		pending[u], depth[u] = 0, 0
+	for len(s.groups) < k {
+		s.groups = append(s.groups, nil)
 	}
-	for u := 0; u < n; u++ {
-		if graph.NodeID(u) != sink {
-			pending[parent[u]]++
-		}
-	}
-	// depth[u] = hops to sink along the tree; deeper nodes are more urgent.
-	var walk func(u graph.NodeID) int
-	walk = func(u graph.NodeID) int {
-		if u == sink || depth[u] != 0 {
-			return depth[u]
-		}
-		depth[u] = walk(parent[u]) + 1
-		return depth[u]
-	}
-	for u := 0; u < n; u++ {
-		walk(graph.NodeID(u))
-	}
-
-	s.done.Clear()
-	ready := s.ready[:0]
-	for u := 0; u < n; u++ {
-		if graph.NodeID(u) != sink && pending[u] == 0 {
-			ready = append(ready, graph.NodeID(u))
-		}
-	}
-
+	// Both trees take parents one BFS layer closer to the sink, so a
+	// node's hop distance is its tree depth; deeper nodes are more urgent.
+	depth := g.BFS(sink)
+	sw := &s.walk
+	ready := append(s.ready[:0], sw.Reset(in, parent)...)
 	sched := &Schedule{Sink: sink, Start: in.Start, Parent: parent}
-	transmitted := 0
-	t := in.Start
-	for transmitted < n-1 {
+	for t := in.Start; sw.Sent() < n-1; t++ {
 		if len(ready) == 0 {
-			return nil, fmt.Errorf("aggregate: no ready node with %d transmissions left", n-1-transmitted)
+			return nil, fmt.Errorf("aggregate: no ready node with %d transmissions left", n-1-sw.Sent())
 		}
 		// Deepest first, then lowest ID: drain the critical chains.
-		sort.Slice(ready, func(i, j int) bool {
-			if depth[ready[i]] != depth[ready[j]] {
-				return depth[ready[i]] > depth[ready[j]]
+		slices.SortFunc(ready, func(a, b graph.NodeID) int {
+			if depth[a] != depth[b] {
+				return depth[b] - depth[a]
 			}
-			return ready[i] < ready[j]
+			return a - b
 		})
-		eligible := s.eligible[:0]
-		for _, u := range ready {
-			if in.Wake.Awake(int(parent[u]), t) {
-				eligible = append(eligible, u)
-			}
-		}
-		if len(eligible) == 0 {
-			// Jump to the next slot where any ready node's parent wakes.
-			next := -1
-			for _, u := range ready {
-				if na := in.Wake.NextAwake(int(parent[u]), t); next < 0 || na < next {
-					next = na
-				}
-			}
-			t = next
-			continue
+		if err := sw.Begin(t); err != nil {
+			return nil, err
 		}
 		for ch := 0; ch < k; ch++ {
 			s.groups[ch] = s.groups[ch][:0]
 		}
-		s.taken.Clear()
-		fired := 0
-		for _, u := range eligible {
-			if s.taken.Has(int(parent[u])) {
-				continue // one radio: this parent already receives this slot
+		kept := ready[:0]
+		for _, u := range ready {
+			joined := false
+			for ch := 0; ch < k && !joined; ch++ {
+				s.groups[ch], joined = sw.Join(s.groups[ch], u)
 			}
-			for ch := 0; ch < k; ch++ {
-				if s.admits(oracle, parent, s.groups[ch], u) {
-					s.groups[ch] = insertSorted(s.groups[ch], u)
-					s.taken.Add(int(parent[u]))
-					fired++
-					break
-				}
+			if !joined {
+				kept = append(kept, u)
 			}
 		}
-		if fired == 0 {
+		if len(kept) == len(ready) {
+			i := slices.IndexFunc(ready, sw.MaySend)
+			if i < 0 {
+				continue // no ready node's parent listens this slot
+			}
 			// Every eligible node failed its solo decode — time-independent
 			// (a positive SINR noise floor can strand a link), so retrying
 			// later slots would loop forever.
 			return nil, fmt.Errorf("aggregate: node %d cannot decode at parent %d under %s",
-				eligible[0], parent[eligible[0]], oracle.Name())
+				ready[i], parent[ready[i]], sw.oracle.Name())
 		}
-		{
-			for ch := 0; ch < k; ch++ {
-				if len(s.groups[ch]) == 0 {
-					continue
-				}
-				senders := append([]graph.NodeID(nil), s.groups[ch]...)
-				sched.Advances = append(sched.Advances, Advance{T: t, Channel: ch, Senders: senders})
-				for _, u := range senders {
-					s.done.Add(int(u))
-					pending[parent[u]]--
-					transmitted++
-				}
+		for ch, senders := range s.groups[:k] {
+			if len(senders) > 0 {
+				sched.Advances = append(sched.Advances, Advance{T: t, Channel: ch, Senders: slices.Clone(senders)})
 			}
-			// Refresh the ready set: drop fired nodes, add newly unblocked.
-			next := ready[:0]
-			for _, u := range ready {
-				if !s.done.Has(int(u)) {
-					next = append(next, u)
-				}
-			}
-			for u := 0; u < n; u++ {
-				if graph.NodeID(u) != sink && pending[u] == 0 && !s.done.Has(u) && !contains(next, graph.NodeID(u)) {
-					next = append(next, graph.NodeID(u))
-				}
-			}
-			ready = next
 		}
-		t++
+		// Drop the fired nodes and add the parents they unblocked; the
+		// sort above makes the order irrelevant.
+		ready = append(kept, sw.End()...)
 	}
 	s.ready = ready[:0]
 	return &Result{Scheduler: s.Name(), Schedule: sched, LatencySlots: sched.Latency()}, nil
-}
-
-// admits reports whether group ∪ {u} stays receiver-safe: every member's
-// parent decodes exactly that member under the oracle. Capture (SINR) can
-// admit sets the protocol model rejects and vice versa, so the whole
-// candidate set is re-checked every join.
-func (s *Scheduler) admits(oracle interference.Oracle, parent []graph.NodeID, group []graph.NodeID, u graph.NodeID) bool {
-	s.probe = insertSorted(append(s.probe[:0], group...), u)
-	for _, x := range s.probe {
-		got, ok := oracle.Outcome(parent[x], s.probe)
-		if !ok || got != x {
-			return false
-		}
-	}
-	return true
-}
-
-// grow (re)sizes the scratch buffers for an n-node, k-channel instance.
-func (s *Scheduler) grow(n, k int) {
-	if cap(s.pending) < n {
-		s.pending = make([]int, n)
-		s.depth = make([]int, n)
-	}
-	s.pending, s.depth = s.pending[:n], s.depth[:n]
-	if s.taken.Capacity() < n {
-		s.taken = bitset.New(n)
-		s.done = bitset.New(n)
-	}
-	for len(s.groups) < k {
-		s.groups = append(s.groups, nil)
-	}
-}
-
-// insertSorted inserts u into the ascending slice, keeping it sorted —
-// SINR's deterministic strongest-sender tie-break reads sender order.
-func insertSorted(xs []graph.NodeID, u graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= u })
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = u
-	return xs
-}
-
-func contains(xs []graph.NodeID, u graph.NodeID) bool {
-	for _, x := range xs {
-		if x == u {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"slices"
 
 	"mlbs/internal/graph"
 )
@@ -53,19 +54,12 @@ func BoundedSPT(g *graph.Graph, sink graph.NodeID, maxChildren int) ([]graph.Nod
 	load := make([]int, n)
 	// Assign in (layer, ID) order so load counts are deterministic.
 	order := make([]graph.NodeID, 0, n)
-	maxd := 0
-	for u := 0; u < n; u++ {
-		if dist[u] > maxd {
-			maxd = dist[u]
+	for u, d := range dist {
+		if d > 0 {
+			order = append(order, u)
 		}
 	}
-	for d := 1; d <= maxd; d++ {
-		for u := 0; u < n; u++ {
-			if dist[u] == d {
-				order = append(order, graph.NodeID(u))
-			}
-		}
-	}
+	slices.SortStableFunc(order, func(a, b graph.NodeID) int { return dist[a] - dist[b] })
 	assigned := 1
 	for _, u := range order {
 		best := graph.NodeID(-1)

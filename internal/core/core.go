@@ -254,29 +254,38 @@ type SlotWalker struct {
 	prev, t int        // last committed slot; current slot
 	fired   int        // advances fired in the current slot
 	k       int        // in.K(), the advances a slot may carry
-	err     slotError
+	err     RuleError
 }
 
-// slotError names the rule a walk broke; it is formatted only when read.
-type slotError struct {
+// RuleError names the rule a slot walk broke. A walker owns one and
+// refills it on every rejection, so rejecting allocates nothing; the
+// message is formatted only when read.
+type RuleError struct {
 	format string
-	args   [3]int
+	args   [4]int
 	nargs  int
+	nodes  []graph.NodeID // the trailing %v operand, when non-nil
 }
 
-func (e *slotError) Error() string {
-	args := make([]any, e.nargs)
-	for i := range args {
-		args[i] = e.args[i]
+// Set records the broken rule and returns e; nodes is kept, not copied.
+func (e *RuleError) Set(nodes []graph.NodeID, format string, args ...int) error {
+	e.format, e.nodes = format, nodes
+	e.nargs = copy(e.args[:], args)
+	return e
+}
+
+func (e *RuleError) Error() string {
+	args := make([]any, 0, len(e.args)+1)
+	for _, a := range e.args[:e.nargs] {
+		args = append(args, a)
+	}
+	if e.nodes != nil {
+		args = append(args, e.nodes)
 	}
 	return fmt.Sprintf(e.format, args...)
 }
 
-func (sw *SlotWalker) fail(format string, args ...int) error {
-	sw.err.format = format
-	sw.err.nargs = copy(sw.err.args[:], args)
-	return &sw.err
-}
+func (sw *SlotWalker) fail(format string, args ...int) error { return sw.err.Set(nil, format, args...) }
 
 // Reset starts a walk of in: coverage {Source} ∪ PreCovered, the first
 // slot not before in.Start, and in's interference oracle.

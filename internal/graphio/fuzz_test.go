@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"mlbs/internal/aggregate"
 	"mlbs/internal/core"
 	"mlbs/internal/dutycycle"
+	"mlbs/internal/graph"
 	"mlbs/internal/reliability"
+	"mlbs/internal/sim"
 )
 
 // The graphio fuzz contract, shared by every decoder: arbitrary bytes
@@ -250,6 +253,64 @@ func FuzzDecodeDeployment(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodeAggSchedule adds to the decoder contract a check of what the
+// decoded plan does on a fixed five-node instance (the tree of
+// sampleAggSchedule, K=2): Validate and ReplayAggregate never panic on
+// it, and a schedule Validate accepts replays every reading to the sink
+// with no collision.
+func FuzzDecodeAggSchedule(f *testing.F) {
+	g := graph.NewBuilder(5, nil).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(1, 4).Build()
+	in := core.Sync(g, 0)
+	in.Channels = 2
+	var sched aggregate.Scheduler
+	res, err := sched.Schedule(in)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []*aggregate.Schedule{res.Schedule, sampleAggSchedule()} {
+		data, err := EncodeAggSchedule(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"sink":0,"start":1,"parent":[-1,0,1,2,1],"t":[1,1],"senders":[[3,4],[2]],"channel":[1,0]}`))
+	f.Add([]byte(`{"version":1,"sink":0,"start":1,"parent":[-1,0,1,2,1],"t":[2,1],"senders":[[3],[]]}`))
+	f.Add([]byte(`{"version":1,"sink":4,"start":0,"parent":[1,4,1,2,-1],"t":[1],"senders":[[0,0]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeAggSchedule(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeAggSchedule(s)
+		if err != nil {
+			t.Fatalf("accepted schedule does not re-encode: %v", err)
+		}
+		s2, err := DecodeAggSchedule(enc)
+		if err != nil {
+			t.Fatalf("canonical form does not decode: %v", err)
+		}
+		enc2, err := EncodeAggSchedule(s2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", enc, enc2)
+		}
+		verr := s.Validate(in)
+		rep, rerr := sim.ReplayAggregate(in, s)
+		if verr != nil {
+			return
+		}
+		if rerr != nil {
+			t.Fatalf("accepted schedule does not replay: %v", rerr)
+		}
+		if !rep.Completed || len(rep.Collisions) != 0 {
+			t.Fatalf("accepted schedule replays completed=%v with collisions %+v", rep.Completed, rep.Collisions)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -77,6 +78,127 @@ func TestAggReplayerAgreesWithValidate(t *testing.T) {
 			sc.SINR = sinr
 			aggCrossCheck(t, c.name+"+sinr", sc)
 		}
+	}
+}
+
+// tamperAgg applies one random fault to s, a deep copy the caller owns:
+// shift a slot, swap or duplicate a sender, move a sender into an earlier
+// advance (before its children, for an inner node), raise or repeat a
+// channel, or re-parent a node onto another neighbor.
+func tamperAgg(r *rand.Rand, g *graph.Graph, s *aggregate.Schedule) {
+	advs := s.Advances
+	i := r.IntN(len(advs))
+	a := &advs[i]
+	op := r.IntN(7)
+	if op <= 3 && len(a.Senders) == 0 {
+		op += 4 // an emptied advance: tamper its channel instead
+	}
+	switch op {
+	case 0: // shift a slot
+		d := r.IntN(3) - 1
+		if d == 0 {
+			d = 2
+		}
+		for j := range advs {
+			if advs[j].T == a.T {
+				advs[j].T += d
+			}
+		}
+	case 1: // swap senders across advances
+		b := &advs[r.IntN(len(advs))]
+		if len(b.Senders) == 0 {
+			return
+		}
+		x, y := r.IntN(len(a.Senders)), r.IntN(len(b.Senders))
+		a.Senders[x], b.Senders[y] = b.Senders[y], a.Senders[x]
+	case 2: // duplicate a sender into an advance
+		b := &advs[r.IntN(len(advs))]
+		b.Senders = append(b.Senders, a.Senders[r.IntN(len(a.Senders))])
+	case 3: // move a sender into an earlier (or the same) advance
+		x := r.IntN(len(a.Senders))
+		u := a.Senders[x]
+		a.Senders = append(a.Senders[:x], a.Senders[x+1:]...)
+		b := &advs[r.IntN(i+1)]
+		b.Senders = append(b.Senders, u)
+	case 4: // raise a channel
+		a.Channel++
+	case 5: // repeat the previous advance's channel
+		if i > 0 {
+			a.Channel = advs[i-1].Channel
+		} else {
+			a.Channel = -1
+		}
+	case 6: // re-parent a node onto another neighbor
+		u := graph.NodeID(r.IntN(g.N()))
+		if u == s.Sink {
+			return
+		}
+		nbr := g.Adj(u)
+		s.Parent[u] = nbr[r.IntN(len(nbr))]
+	}
+}
+
+// cloneAgg deep-copies s so a tamper leaves the planned schedule intact.
+func cloneAgg(s *aggregate.Schedule) *aggregate.Schedule {
+	cp := &aggregate.Schedule{Sink: s.Sink, Start: s.Start, Parent: append([]graph.NodeID(nil), s.Parent...)}
+	for _, a := range s.Advances {
+		cp.Advances = append(cp.Advances, aggregate.Advance{T: a.T, Channel: a.Channel, Senders: append([]graph.NodeID(nil), a.Senders...)})
+	}
+	return cp
+}
+
+// TestAggValidateTamperedReplaysClean tampers planned convergecast
+// schedules at random (one or two faults each) over sync and duty, K∈{1,2},
+// and both interference oracles: whenever Validate accepts a tampered
+// schedule, the replay must still deliver every reading to the sink with
+// zero collisions.
+func TestAggValidateTamperedReplaysClean(t *testing.T) {
+	sinr := &interference.SINRParams{Alpha: 3, Beta: 1}
+	r := rand.New(rand.NewPCG(29, 1))
+	accepted, rejected := 0, 0
+	for _, seed := range []uint64{3, 7} {
+		d, err := topology.Generate(topology.PaperConfig(60), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sync := core.Sync(d.G, d.Source)
+		duty := core.Async(d.G, d.Source, dutycycle.NewUniform(d.G.N(), 10, seed^0xA5, 0), 0)
+		for _, base := range []core.Instance{sync, duty} {
+			for _, k := range []int{1, 2} {
+				for _, model := range []*interference.SINRParams{nil, sinr} {
+					in := base
+					in.Channels, in.SINR = k, model
+					var s aggregate.Scheduler
+					res, err := s.Schedule(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for trial := 0; trial < 150; trial++ {
+						cp := cloneAgg(res.Schedule)
+						for f := 1 + r.IntN(2); f > 0; f-- {
+							tamperAgg(r, d.G, cp)
+						}
+						if cp.Validate(in) != nil {
+							rejected++
+							continue
+						}
+						accepted++
+						rep, err := ReplayAggregate(in, cp)
+						if err != nil {
+							t.Fatalf("seed %d K=%d: accepted schedule does not replay: %v", seed, k, err)
+						}
+						if !rep.Completed || len(rep.Collisions) != 0 {
+							t.Fatalf("seed %d K=%d: accepted tampered schedule replays completed=%v with collisions %+v",
+								seed, k, rep.Completed, rep.Collisions)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d tampered schedules accepted, %d rejected", accepted, rejected)
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("tampering must yield both verdicts: %d accepted, %d rejected", accepted, rejected)
 	}
 }
 
