@@ -158,15 +158,16 @@ type SlotWalker struct {
 	done    bitset.Set     // senders of the committed slots
 	slotRx  bitset.Set     // parents receiving in the open slot
 	fired   []graph.NodeID // senders fired in the open slot
-	ready   []graph.NodeID // the latest Reset or End result
-	probe   []graph.NodeID // Admits' scratch bundle
+	ready   []graph.NodeID // nodes that may send once their parent listens
+	probe   []graph.NodeID // admits' scratch bundle
 	prev, t int            // last committed slot; open slot
 	err     core.RuleError
 }
 
 // Reset starts a walk of in over parent, a spanning tree oriented at
-// in.Source, and returns the nodes without children, ascending; the slice
-// aliases the walker until the next Reset or End.
+// in.Source, and returns the ready set: the nodes without children,
+// ascending. The slice aliases the walker, which End keeps current; the
+// caller may reorder it.
 func (sw *SlotWalker) Reset(in core.Instance, parent []graph.NodeID) []graph.NodeID {
 	n := in.G.N()
 	if len(sw.done) != bitset.WordsFor(n) {
@@ -230,26 +231,26 @@ func (sw *SlotWalker) sender(u graph.NodeID) error {
 	return nil
 }
 
-// Admits reports whether bundle ∪ {u} is receiver-safe, committing
+// admits reports whether bundle ∪ {u} is receiver-safe, committing
 // nothing. Bundles are kept ascending because SINR's strongest-sender
 // tie-break reads sender order; capture can admit sets the protocol model
 // rejects and vice versa, so every member is re-checked.
 //
 //mlbs:hotpath -- the greedy probes every eligible node per channel
-func (sw *SlotWalker) Admits(bundle []graph.NodeID, u graph.NodeID) bool {
+func (sw *SlotWalker) admits(bundle []graph.NodeID, u graph.NodeID) bool {
 	i, _ := slices.BinarySearch(bundle, u)
 	sw.probe = slices.Insert(append(sw.probe[:0], bundle...), i, u)
 	return sw.undecoded(sw.probe) < 0
 }
 
 // Join is Fire for a policy that grows its bundles one sender at a time:
-// when u may send and Admits(bundle, u), u claims its parent's radio and
+// when u may send and admits(bundle, u), u claims its parent's radio and
 // Join returns bundle ∪ {u} in bundle's storage; otherwise it returns
 // bundle and false.
 //
 //mlbs:hotpath -- the greedy scheduler's fire path
 func (sw *SlotWalker) Join(bundle []graph.NodeID, u graph.NodeID) ([]graph.NodeID, bool) {
-	if sw.sender(u) != nil || !sw.Admits(bundle, u) {
+	if sw.sender(u) != nil || !sw.admits(bundle, u) {
 		return bundle, false
 	}
 	sw.slotRx.Add(sw.parent[u])
@@ -290,14 +291,13 @@ func (sw *SlotWalker) undecoded(senders []graph.NodeID) graph.NodeID {
 	return -1
 }
 
-// End commits the open slot's senders and returns the parents whose last
-// child they were; the slice aliases the walker until the next Reset or
-// End. Same-slot senders never count as committed for each other, so
+// End commits the open slot's senders and returns the ready set without
+// them and with the parents whose last child they were, aliased as
+// Reset's. Same-slot senders never count as committed for each other, so
 // precedence is strict.
 //
 //mlbs:hotpath -- runs every scheduled and validated slot
 func (sw *SlotWalker) End() []graph.NodeID {
-	sw.ready = sw.ready[:0]
 	for _, u := range sw.fired {
 		sw.done.Add(u)
 		p := sw.parent[u]
@@ -305,6 +305,7 @@ func (sw *SlotWalker) End() []graph.NodeID {
 			sw.ready = append(sw.ready, p)
 		}
 	}
+	sw.ready = slices.DeleteFunc(sw.ready, sw.done.Has)
 	sw.prev = sw.t
 	return sw.ready
 }

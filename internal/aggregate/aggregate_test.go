@@ -1,6 +1,8 @@
 package aggregate
 
 import (
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +29,7 @@ func line(n int) *graph.Graph {
 
 func TestSPTLine(t *testing.T) {
 	g := line(4)
-	parent, err := SPT(g, 0)
+	parent, _, err := SPT(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestBoundedSPTSpreadsChildren(t *testing.T) {
 		b.AddEdge(1, leaf).AddEdge(2, leaf)
 	}
 	g := b.Build()
-	parent, err := BoundedSPT(g, 0, 3)
+	parent, _, err := BoundedSPT(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestBoundedSPTSpreadsChildren(t *testing.T) {
 	if load[1] != 3 || load[2] != 3 {
 		t.Fatalf("leaf parents split %d/%d, want 3/3", load[1], load[2])
 	}
-	plain, err := SPT(g, 0)
+	plain, _, err := SPT(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +205,49 @@ func TestScheduleStrandedLink(t *testing.T) {
 	_, err := s.Schedule(in)
 	if err == nil || err.Error() != "aggregate: node 2 cannot decode at parent 1 under sinr" {
 		t.Fatalf("err = %v, want node 2 stranded at parent 1", err)
+	}
+}
+
+// TestScheduleSkipsAsleepSlots: stretching every wake slot (and the
+// period) by m stretches the plan's slots by m and changes nothing else.
+// The scheduler jumps over slots in which no ready node's parent listens,
+// so a period above 10^10 plans as fast as a period of ten.
+func TestScheduleSkipsAsleepSlots(t *testing.T) {
+	d, err := topology.Generate(topology.PaperConfig(60), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r, m = 10, 1 << 30
+	rng := rand.New(rand.NewPCG(3, 29))
+	slots, stretched := make([][]int, d.G.N()), make([][]int, d.G.N())
+	for u := range slots {
+		w := rng.IntN(r)
+		slots[u], stretched[u] = []int{w}, []int{w * m}
+	}
+	small := core.Instance{G: d.G, Source: d.Source, Wake: dutycycle.NewFixed(r, r, slots)}
+	big := core.Instance{G: d.G, Source: d.Source, Wake: dutycycle.NewFixed(r*m, r*m, stretched)}
+	for _, tree := range []Tree{TreeSPT, TreeBounded} {
+		s := Scheduler{Tree: tree}
+		ref, err := s.Schedule(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Schedule(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Schedule.Validate(big); err != nil {
+			t.Fatal(err)
+		}
+		want, got := ref.Schedule.Advances, res.Schedule.Advances
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d advances stretched, %d at period %d", s.Name(), len(got), len(want), r)
+		}
+		for i, a := range want {
+			if b := got[i]; b.T != a.T*m || b.Channel != a.Channel || !slices.Equal(b.Senders, a.Senders) {
+				t.Fatalf("%s: advance %d is %+v stretched, %+v at period %d", s.Name(), i, b, a, r)
+			}
+		}
 	}
 }
 

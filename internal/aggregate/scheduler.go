@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mlbs/internal/core"
@@ -33,7 +34,6 @@ type Scheduler struct {
 	MaxChildren int
 
 	walk   SlotWalker
-	ready  []graph.NodeID
 	groups [][]graph.NodeID
 }
 
@@ -61,15 +61,16 @@ func (s *Scheduler) Schedule(in core.Instance) (*Result, error) {
 	g, sink := in.G, in.Source
 	n := g.N()
 	var parent []graph.NodeID
+	var depth []int
 	var err error
 	if s.Tree == TreeBounded {
 		mc := s.MaxChildren
 		if mc <= 0 {
 			mc = DefaultMaxChildren
 		}
-		parent, err = BoundedSPT(g, sink, mc)
+		parent, depth, err = BoundedSPT(g, sink, mc)
 	} else {
-		parent, err = SPT(g, sink)
+		parent, depth, err = SPT(g, sink)
 	}
 	if err != nil {
 		return nil, err
@@ -79,13 +80,10 @@ func (s *Scheduler) Schedule(in core.Instance) (*Result, error) {
 	for len(s.groups) < k {
 		s.groups = append(s.groups, nil)
 	}
-	// Both trees take parents one BFS layer closer to the sink, so a
-	// node's hop distance is its tree depth; deeper nodes are more urgent.
-	depth := g.BFS(sink)
 	sw := &s.walk
-	ready := append(s.ready[:0], sw.Reset(in, parent)...)
 	sched := &Schedule{Sink: sink, Start: in.Start, Parent: parent}
-	for t := in.Start; sw.Sent() < n-1; t++ {
+	// Each pass plans slot t from the walker's ready set; End commits it.
+	for t, ready := in.Start, sw.Reset(in, parent); sw.Sent() < n-1; t, ready = t+1, sw.End() {
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("aggregate: no ready node with %d transmissions left", n-1-sw.Sent())
 		}
@@ -99,39 +97,36 @@ func (s *Scheduler) Schedule(in core.Instance) (*Result, error) {
 		if err := sw.Begin(t); err != nil {
 			return nil, err
 		}
-		for ch := 0; ch < k; ch++ {
+		for ch := range s.groups[:k] {
 			s.groups[ch] = s.groups[ch][:0]
 		}
-		kept := ready[:0]
 		for _, u := range ready {
-			joined := false
-			for ch := 0; ch < k && !joined; ch++ {
+			for ch, joined := 0, false; ch < k && !joined; ch++ {
 				s.groups[ch], joined = sw.Join(s.groups[ch], u)
 			}
-			if !joined {
-				kept = append(kept, u)
-			}
 		}
-		if len(kept) == len(ready) {
-			i := slices.IndexFunc(ready, sw.MaySend)
-			if i < 0 {
-				continue // no ready node's parent listens this slot
+		// A node that may send and decodes alone joins the empty bundle of
+		// channel 0, so an empty channel 0 means nothing fired.
+		if len(s.groups[0]) == 0 {
+			next := math.MaxInt
+			for _, u := range ready {
+				if sw.MaySend(u) {
+					// Its solo decode failed — time-independent (a positive
+					// SINR noise floor can strand a link), so retrying later
+					// slots would loop forever.
+					return nil, fmt.Errorf("aggregate: node %d cannot decode at parent %d under %s",
+						u, parent[u], sw.oracle.Name())
+				}
+				next = min(next, in.Wake.NextAwake(parent[u], t))
 			}
-			// Every eligible node failed its solo decode — time-independent
-			// (a positive SINR noise floor can strand a link), so retrying
-			// later slots would loop forever.
-			return nil, fmt.Errorf("aggregate: node %d cannot decode at parent %d under %s",
-				ready[i], parent[ready[i]], sw.oracle.Name())
+			t = next - 1 // no ready node's parent listens before next
+			continue
 		}
 		for ch, senders := range s.groups[:k] {
 			if len(senders) > 0 {
 				sched.Advances = append(sched.Advances, Advance{T: t, Channel: ch, Senders: slices.Clone(senders)})
 			}
 		}
-		// Drop the fired nodes and add the parents they unblocked; the
-		// sort above makes the order irrelevant.
-		ready = append(kept, sw.End()...)
 	}
-	s.ready = ready[:0]
 	return &Result{Scheduler: s.Name(), Schedule: sched, LatencySlots: sched.Latency()}, nil
 }

@@ -2,25 +2,25 @@ package aggregate
 
 import (
 	"fmt"
-	"slices"
 
 	"mlbs/internal/graph"
 )
 
 // SPT builds the shortest-path routing tree toward the sink: every node's
 // parent is its lowest-ID neighbor one BFS layer closer to the sink.
+// depth[u] is u's BFS hop count to the sink, hence its depth in the tree.
 // Deterministic; errors when the graph is not connected to the sink.
-func SPT(g *graph.Graph, sink graph.NodeID) ([]graph.NodeID, error) {
+func SPT(g *graph.Graph, sink graph.NodeID) (parent []graph.NodeID, depth []int, err error) {
 	dist := g.BFS(sink)
 	n := g.N()
-	parent := make([]graph.NodeID, n)
+	parent = make([]graph.NodeID, n)
 	parent[sink] = -1
 	for u := 0; u < n; u++ {
 		if graph.NodeID(u) == sink {
 			continue
 		}
 		if dist[u] < 0 {
-			return nil, fmt.Errorf("aggregate: node %d unreachable from sink %d", u, sink)
+			return nil, nil, fmt.Errorf("aggregate: node %d unreachable from sink %d", u, sink)
 		}
 		parent[u] = -1
 		for _, v := range g.Adj(graph.NodeID(u)) { // Adj is sorted ascending
@@ -30,10 +30,10 @@ func SPT(g *graph.Graph, sink graph.NodeID) ([]graph.NodeID, error) {
 			}
 		}
 		if parent[u] < 0 {
-			return nil, fmt.Errorf("aggregate: node %d has no neighbor closer to sink", u)
+			return nil, nil, fmt.Errorf("aggregate: node %d has no neighbor closer to sink", u)
 		}
 	}
-	return parent, nil
+	return parent, dist, nil
 }
 
 // BoundedSPT builds a degree-bounded shortest-path tree: parents are still
@@ -42,24 +42,31 @@ func SPT(g *graph.Graph, sink graph.NodeID) ([]graph.NodeID, error) {
 // spreading subtrees across relays so no single parent serializes
 // maxDegree receptions. When every closer neighbor is saturated the least
 // loaded one (lowest ID on ties) is used anyway, so the tree always
-// spans. maxChildren < 1 degenerates to SPT.
-func BoundedSPT(g *graph.Graph, sink graph.NodeID, maxChildren int) ([]graph.NodeID, error) {
+// spans; depth is as in SPT. maxChildren < 1 degenerates to SPT.
+func BoundedSPT(g *graph.Graph, sink graph.NodeID, maxChildren int) (parent []graph.NodeID, depth []int, err error) {
 	if maxChildren < 1 {
 		return SPT(g, sink)
 	}
 	dist := g.BFS(sink)
 	n := g.N()
-	parent := make([]graph.NodeID, n)
+	parent = make([]graph.NodeID, n)
 	parent[sink] = -1
 	load := make([]int, n)
 	// Assign in (layer, ID) order so load counts are deterministic.
 	order := make([]graph.NodeID, 0, n)
-	for u, d := range dist {
-		if d > 0 {
-			order = append(order, u)
+	maxd := 0
+	for u := 0; u < n; u++ {
+		if dist[u] > maxd {
+			maxd = dist[u]
 		}
 	}
-	slices.SortStableFunc(order, func(a, b graph.NodeID) int { return dist[a] - dist[b] })
+	for d := 1; d <= maxd; d++ {
+		for u := 0; u < n; u++ {
+			if dist[u] == d {
+				order = append(order, graph.NodeID(u))
+			}
+		}
+	}
 	assigned := 1
 	for _, u := range order {
 		best := graph.NodeID(-1)
@@ -77,14 +84,14 @@ func BoundedSPT(g *graph.Graph, sink graph.NodeID, maxChildren int) ([]graph.Nod
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("aggregate: node %d has no neighbor closer to sink", u)
+			return nil, nil, fmt.Errorf("aggregate: node %d has no neighbor closer to sink", u)
 		}
 		parent[u] = best
 		load[best]++
 		assigned++
 	}
 	if assigned != n {
-		return nil, fmt.Errorf("aggregate: sink %d reaches %d of %d nodes", sink, assigned, n)
+		return nil, nil, fmt.Errorf("aggregate: sink %d reaches %d of %d nodes", sink, assigned, n)
 	}
-	return parent, nil
+	return parent, dist, nil
 }

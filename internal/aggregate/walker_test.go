@@ -85,8 +85,8 @@ func TestWalkerAllocFree(t *testing.T) {
 }
 
 // TestWalkerJoin: Join grows a receiver-safe bundle and refuses an unsafe
-// one, MaySend and Fire apply the sender rules, and End hands back the
-// parent the slot unblocked.
+// one, MaySend and Fire apply the sender rules, and End's ready set drops
+// the fired leaves and gains the parent they unblocked.
 func TestWalkerJoin(t *testing.T) {
 	// Sink 0; 1 and 2 are its children; 3 is 1's child and hears 2 too.
 	pos := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 1}}
@@ -116,8 +116,8 @@ func TestWalkerJoin(t *testing.T) {
 	if err := sw.Fire(0, []graph.NodeID{1}); err == nil || !strings.Contains(err.Error(), "children still pending") {
 		t.Fatalf("err = %v, want precedence violation", err)
 	}
-	if unblocked := sw.End(); len(unblocked) != 1 || unblocked[0] != 1 || sw.Sent() != 2 {
-		t.Fatalf("End unblocked %v with %d sent, want [1] and 2", unblocked, sw.Sent())
+	if ready := sw.End(); len(ready) != 1 || ready[0] != 1 || sw.Sent() != 2 {
+		t.Fatalf("End left ready set %v with %d sent, want [1] and 2", ready, sw.Sent())
 	}
 	if err := sw.Begin(2); err != nil {
 		t.Fatal(err)
