@@ -52,8 +52,10 @@ type record struct {
 }
 
 // reliabilityRecord captures the Monte-Carlo engine's throughput on one
-// topology size: batched lossy replays per second and the per-replay
-// allocation count (which must stay ~0 — the engine's reuse discipline).
+// topology size and wake system: batched lossy replays per second, the
+// per-replay allocation count (which must stay ~0 — the engine's reuse
+// discipline) and the mean delivery ratio, a deterministic function of
+// (n, seed, r) that CI pins exactly.
 type reliabilityRecord struct {
 	Name            string  `json:"name"`
 	Nodes           int     `json:"nodes"`
@@ -173,7 +175,7 @@ func main() {
 	flag.Uint64Var(&b.seed, "seed", 1, "deployment seed")
 	flag.IntVar(&b.r, "r", 10, "duty-cycle rate for the async system")
 	flag.IntVar(&b.iters, "iters", 3, "fixed benchmark iterations per case")
-	flag.IntVar(&b.svcReqs, "svcreqs", 32, "cold plan requests per tracing-overhead (obs) phase")
+	flag.IntVar(&b.svcReqs, "svcreqs", 32, "cold plan requests per tracing-overhead (obs) stream; each half of a round repeats it for ≥20 ms")
 	flag.IntVar(&b.relTr, "reltrials", 500, "Monte-Carlo trials per reliability case")
 	out := flag.String("out", "BENCH_schedulers.json", "output JSON path")
 	flag.Parse()
@@ -281,11 +283,18 @@ func (b *bench) schedulers(rep *report) error {
 	return nil
 }
 
+// reliability measures the Monte-Carlo engine on the synchronous n=150
+// and n=300 deployments and on the -r duty cycle at n=150, whose replays
+// also walk every node's wake schedule for the per-slot sleep charge.
 func (b *bench) reliability(rep *report) error {
-	for _, n := range []int{150, 300} {
-		rr, err := benchReliability(n, b.seed, b.relTr)
+	cases := []struct{ n, r int }{{150, 1}, {300, 1}}
+	if b.r > 1 {
+		cases = append(cases, struct{ n, r int }{150, b.r})
+	}
+	for _, c := range cases {
+		rr, err := benchReliability(c.n, c.r, b.seed, b.relTr)
 		if err != nil {
-			return fmt.Errorf("n=%d: %w", n, err)
+			return fmt.Errorf("n=%d r=%d: %w", c.n, c.r, err)
 		}
 		rep.Reliability = append(rep.Reliability, rr)
 		fmt.Printf("%-20s %12.0f replays/s %8.2f allocs/replay %8.4f delivery\n",
@@ -550,7 +559,9 @@ func checkedGOPT(in mlbs.Instance) (*mlbs.Result, int64, error) {
 // runs first, and the overhead is the median of the rounds' enabled/
 // disabled ratios. A noisy neighbour on a shared runner then taxes both
 // halves of a pair instead of one side of the ratio, neither side always
-// runs first, and a round that a stall skews anyway is outvoted.
+// runs first, and a round that a stall skews anyway is outvoted. Each half
+// repeats its stream of reqs plans until it has run for obsMinHalf, so a
+// single scheduler stall is a small share of any half on a fast machine.
 func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 	if reqs < 8 {
 		reqs = 8
@@ -601,11 +612,11 @@ func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 		if round%2 == 1 {
 			first, second = sendEnabled, sendDisabled
 		}
-		a, _, _, err := measure(reqs, first)
+		a, err := measureFor(obsMinHalf, reqs, first)
 		if err != nil {
 			return obsRecord{}, err
 		}
-		b, _, _, err := measure(reqs, second)
+		b, err := measureFor(obsMinHalf, reqs, second)
 		if err != nil {
 			return obsRecord{}, err
 		}
@@ -633,8 +644,9 @@ func benchObs(n int, seed uint64, reqs int) (obsRecord, error) {
 
 // benchReliability measures the Monte-Carlo engine: one warm-up batch,
 // then a timed batch of `trials` lossy replays of the G-OPT schedule on
-// the n-node sync paper topology at 5% per-link loss.
-func benchReliability(n int, seed uint64, trials int) (reliabilityRecord, error) {
+// the n-node paper topology at 5% per-link loss — synchronous for r=1,
+// else under the uniform duty cycle of rate r.
+func benchReliability(n, r int, seed uint64, trials int) (reliabilityRecord, error) {
 	if trials < 10 {
 		trials = 10
 	}
@@ -643,6 +655,11 @@ func benchReliability(n int, seed uint64, trials int) (reliabilityRecord, error)
 		return reliabilityRecord{}, err
 	}
 	in := mlbs.SyncInstance(dep.G, dep.Source)
+	name := fmt.Sprintf("reliability/sync-n%d", n)
+	if r > 1 {
+		in = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, r, 9), 0)
+		name = fmt.Sprintf("reliability/duty-r%d-n%d", r, n)
+	}
 	res, err := mlbs.GOPT().Schedule(in)
 	if err != nil {
 		return reliabilityRecord{}, err
@@ -663,7 +680,7 @@ func benchReliability(n int, seed uint64, trials int) (reliabilityRecord, error)
 	}
 	nsPerReplay := nsOp / int64(trials)
 	rec := reliabilityRecord{
-		Name:            fmt.Sprintf("reliability/sync-n%d", n),
+		Name:            name,
 		Nodes:           n,
 		Trials:          trials,
 		LossRate:        model.Rate,
@@ -675,6 +692,26 @@ func benchReliability(n int, seed uint64, trials int) (reliabilityRecord, error)
 		rec.ReplaysPerSec = 1e9 / float64(nsPerReplay)
 	}
 	return rec, nil
+}
+
+// obsMinHalf is the least wall time one half of an obs round runs for.
+const obsMinHalf = 20 * time.Millisecond
+
+// measureFor runs fn in streams of reqs calls until at least atLeast has
+// elapsed and reports the mean wall time per call.
+func measureFor(atLeast time.Duration, reqs int, fn func() error) (nsPerOp int64, err error) {
+	runtime.GC()
+	start := time.Now()
+	calls := 0
+	for calls == 0 || time.Since(start) < atLeast {
+		for range reqs {
+			if err := fn(); err != nil {
+				return 0, err
+			}
+		}
+		calls += reqs
+	}
+	return time.Since(start).Nanoseconds() / int64(calls), nil
 }
 
 // measure runs fn a fixed number of times and reports per-op wall time and

@@ -6,24 +6,25 @@
 //
 //	mlb-benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json
 //
-// The pins are the table below. Slot, span and search-effort counts are
-// deterministic for a fixed (n, seed, r) and allocation counts nearly so;
-// obs.overhead_pct is the only wall-clock number compared, CI machines are
-// too noisy for the rest. A rule is either exact or an upper bound
-// cur ≤ base·(1+rel)+abs:
+// The pins are the table below. Slot, span and search-effort counts and
+// Monte-Carlo delivery ratios are deterministic for a fixed (n, seed, r)
+// and allocation counts nearly so; obs.overhead_pct is the only
+// wall-clock number compared, CI machines are too noisy for the rest. A
+// rule is either exact or an upper bound cur ≤ base·(1+rel)+abs:
 //
-//	section      metric             rule
-//	records      latency_slots      ≤ base·1.25      broadcast latency per (scheduler, system)
-//	records      allocs_per_op      ≤ base·1.25+200  alloc discipline; slack absorbs tiny-count jitter
-//	records      expanded           exact            states the search expanded (0 for policies)
-//	records      memo_hits          exact            memo hits; with expanded, a drifted search order
-//	reliability  allocs_per_replay  ≤ base·1.25+1    Monte-Carlo engine's ~0 allocs/replay
-//	channels     latency_slots      ≤ base·1.25      latency-vs-K curve
-//	agg          latency_slots      exact            convergecast latency-vs-K, deterministic per K
-//	models       latency_slots      exact            graph vs SINR: a drifted schedule IS the regression
-//	improve      latency_slots      ≤ base           the improver getting worse at improving
-//	obs          spans              exact            span tree of a traced cold plan
-//	obs          overhead_pct       ≤ base+10        tracing tax; points of slack for shared runners
+//	section      metric               rule
+//	records      latency_slots        ≤ base·1.25      broadcast latency per (scheduler, system)
+//	records      allocs_per_op        ≤ base·1.25+200  alloc discipline; slack absorbs tiny-count jitter
+//	records      expanded             exact            states the search expanded (0 for policies)
+//	records      memo_hits            exact            memo hits; with expanded, a drifted search order
+//	reliability  allocs_per_replay    ≤ base·1.25+1    Monte-Carlo engine's ~0 allocs/replay
+//	reliability  mean_delivery_ratio  exact            a shifted Monte-Carlo outcome is a physics change
+//	channels     latency_slots        ≤ base·1.25      latency-vs-K curve
+//	agg          latency_slots        exact            convergecast latency-vs-K, deterministic per K
+//	models       latency_slots        exact            graph vs SINR: a drifted schedule IS the regression
+//	improve      latency_slots        ≤ base           the improver getting worse at improving
+//	obs          spans                exact            span tree of a traced cold plan
+//	obs          overhead_pct         ≤ base+10        tracing tax; points of slack for shared runners
 //
 // A baseline record missing from the current report fails, and so does a
 // pinned metric missing from a current record: silently dropping a
@@ -52,6 +53,7 @@ var pins = []pin{
 	{section: "records", metric: "expanded", exact: true},
 	{section: "records", metric: "memo_hits", exact: true},
 	{section: "reliability", metric: "allocs_per_replay", rel: 0.25, abs: 1},
+	{section: "reliability", metric: "mean_delivery_ratio", exact: true},
 	{section: "channels", metric: "latency_slots", rel: 0.25},
 	{section: "agg", metric: "latency_slots", exact: true},
 	{section: "models", metric: "latency_slots", exact: true},

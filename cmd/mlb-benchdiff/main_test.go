@@ -26,7 +26,7 @@ const baselineJSON = `{
     {"name": "duty-r10/g-opt", "latency_slots": 60, "allocs_per_op": 9000, "expanded": 300, "memo_hits": 60}
   ],
   "reliability": [
-    {"name": "reliability/sync-n150", "allocs_per_replay": 0.1}
+    {"name": "reliability/sync-n150", "allocs_per_replay": 0.1, "mean_delivery_ratio": 0.8671066666666668}
   ],
   "channels": [
     {"name": "channels/duty-r50-n300/k1", "latency_slots": 50},
@@ -164,6 +164,21 @@ func TestCompareReliabilityAllocFails(t *testing.T) {
 	fails := compare(b, cur)
 	if len(fails) != 1 || !strings.Contains(fails[0].msg, "allocs_per_replay") {
 		t.Fatalf("fails = %v", fails)
+	}
+}
+
+func TestCompareDeliveryRatioDriftFails(t *testing.T) {
+	b := parse(t, baselineJSON)
+	// The delivery ratio is a deterministic function of deployment,
+	// schedule and seed: a replay change that moves it in either
+	// direction, by as little as one float step, changed the physics.
+	for _, v := range []float64{0.8671066666666667, 0.8671066666666669, 0.9} {
+		cur := parse(t, baselineJSON)
+		set(cur, "reliability", 0, "mean_delivery_ratio", v)
+		fails := compare(b, cur)
+		if len(fails) != 1 || fails[0].metric != "mean_delivery_ratio" {
+			t.Fatalf("%v: fails = %v", v, fails)
+		}
 	}
 }
 

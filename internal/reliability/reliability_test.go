@@ -171,10 +171,18 @@ func TestEstimateBatchAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkEstimate300x1000(b *testing.B) {
+func BenchmarkEstimate300x1000(b *testing.B) { benchEstimate300(b, 1000) }
+
+// BenchmarkEstimate300x200 is one /v1/validate request of the mixed-open
+// HTTP workload: 200 trials at 5% loss on an n=300 sync deployment.
+func BenchmarkEstimate300x200(b *testing.B) { benchEstimate300(b, 200) }
+
+// benchEstimate300 times a warm single-worker Monte-Carlo batch of trials
+// lossy replays of the G-OPT schedule on the n=300 paper deployment.
+func benchEstimate300(b *testing.B, trials int) {
 	in, sched := paperInstance(b, 300, 2)
 	model := LossModel{Rate: 0.05, Seed: 9}
-	cfg := Config{Trials: 1000, Workers: 1}
+	cfg := Config{Trials: trials, Workers: 1}
 	e := NewEstimator()
 	if _, err := e.Estimate(in, sched, model, cfg); err != nil {
 		b.Fatal(err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"mlbs/internal/bitset"
@@ -34,8 +35,8 @@ func sortedIDs(xs []graph.NodeID) []graph.NodeID {
 
 // Replayer executes schedules and policies against the slot physics with
 // every piece of per-execution state held in reusable buffers: coverage
-// bitset, per-node frame counters, the touched-receiver list, and the
-// collision arena all survive across calls, so a warm Replayer runs a full
+// bitset, per-node frame counters, the receiver set, and the collision
+// arena all survive across calls, so a warm Replayer runs a full
 // replay without allocating (the discipline the Monte-Carlo reliability
 // engine batches thousands of replays on).
 //
@@ -52,7 +53,9 @@ type Replayer struct {
 	covered   []int
 	nFrames   []int32        // per-node frames arriving this slot; kept zeroed between slots
 	isTx      []bool         // per-node transmitting-this-slot mark; kept cleared between slots
-	touched   []graph.NodeID // receivers that heard ≥1 frame this slot
+	recv      bitset.Set     // neighbors of this slot's senders; kept cleared between slots
+	touched   []graph.NodeID // receivers that heard ≥1 frame this slot, ascending
+	sleepWalk bool           // the wake schedule can put a node to sleep (Period > 1)
 	newly     []graph.NodeID // receivers newly covered this slot
 	able      []graph.NodeID // lossy replay: senders that actually hold the message
 	collArena []graph.NodeID // backing storage for Collision.Senders lists
@@ -98,6 +101,12 @@ func (r *Replayer) reset(in core.Instance, start int) {
 	} else {
 		r.w.Clear()
 	}
+	if words := bitset.WordsFor(n); cap(r.recv) < words {
+		r.recv = bitset.New(n)
+	} else {
+		r.recv = r.recv[:words]
+	}
+	r.sleepWalk = in.Wake.Period() > 1
 	cov := r.covered[:n]
 	for i := range cov {
 		cov[i] = -1
@@ -138,21 +147,18 @@ func (r *Replayer) transmit(t int, senders []graph.NodeID) error {
 			return errAsleep(u, t)
 		}
 	}
-	r.touched = r.touched[:0]
 	for _, u := range senders {
 		r.report.Usage.Transmissions++
+		r.recv.UnionWith(r.in.G.Nbr(u))
 		for _, v := range r.in.G.Adj(u) {
 			if r.loss != nil && r.loss(t, u, v) {
 				r.lost++
 				continue
 			}
-			if r.nFrames[v] == 0 {
-				r.touched = append(r.touched, v)
-			}
 			r.nFrames[v]++
 		}
 	}
-	sort.Ints(r.touched)
+	r.drainReceivers()
 	r.newly = r.newly[:0]
 	solo := r.oracle.SoloDecodes()
 	for _, v := range r.touched {
@@ -199,23 +205,47 @@ func (r *Replayer) transmit(t int, senders []graph.NodeID) error {
 	return nil
 }
 
+// drainReceivers moves the slot's receivers into r.touched in ascending ID
+// order: the members of the receiver set that some frame reached (a node
+// whose every frame was lost has nFrames 0). The set is left clear.
+//
+//mlbs:hotpath -- per-slot physics, O(n/64) words
+func (r *Replayer) drainReceivers() {
+	r.touched = r.touched[:0]
+	for wi, word := range r.recv {
+		if word == 0 {
+			continue
+		}
+		r.recv[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			if v := wi*64 + bits.TrailingZeros64(word); r.nFrames[v] != 0 {
+				r.touched = append(r.touched, v)
+			}
+		}
+	}
+}
+
 // accountQuiet charges idle/sleep slots for one elapsed slot: transmitters
 // were already charged; every other node spends the slot listening, and
 // additionally its sending circuitry is asleep unless its wake schedule has
-// it on.
+// it on. A period-1 schedule has every node on at every slot t ≥ 0, so the
+// per-node sleep walk runs only for duty-cycled schedules.
 //
 //mlbs:hotpath -- runs every replayed slot
 func (r *Replayer) accountQuiet(t int, senders []graph.NodeID) {
+	tx := 0
 	for _, u := range senders {
-		r.isTx[u] = true
-	}
-	for u := 0; u < r.n; u++ {
-		if r.isTx[u] {
-			continue
+		if !r.isTx[u] {
+			r.isTx[u] = true
+			tx++
 		}
-		r.report.Usage.IdleSlots++
-		if !r.in.Wake.Awake(u, t) {
-			r.report.Usage.SleepSlots++
+	}
+	r.report.Usage.IdleSlots += r.n - tx
+	if r.sleepWalk || t < 0 {
+		for u := 0; u < r.n; u++ {
+			if !r.isTx[u] && !r.in.Wake.Awake(u, t) {
+				r.report.Usage.SleepSlots++
+			}
 		}
 	}
 	for _, u := range senders {
@@ -400,21 +430,18 @@ func (r *Replayer) transmitGroup(t int, group []core.Advance) ([]graph.NodeID, e
 				return nil, errAsleep(u, t)
 			}
 		}
-		r.touched = r.touched[:0]
 		for _, u := range firing {
 			r.report.Usage.Transmissions++
+			r.recv.UnionWith(r.in.G.Nbr(u))
 			for _, v := range r.in.G.Adj(u) {
 				if r.loss != nil && r.loss(t, u, v) {
 					r.lost++
 					continue
 				}
-				if r.nFrames[v] == 0 {
-					r.touched = append(r.touched, v)
-				}
 				r.nFrames[v]++
 			}
 		}
-		sort.Ints(r.touched)
+		r.drainReceivers()
 		for _, v := range r.touched {
 			k := r.nFrames[v]
 			r.nFrames[v] = 0
